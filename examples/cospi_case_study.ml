@@ -35,9 +35,12 @@ let naive_compensate (rr : S.reduction) (v : float array) =
   (* Mixed signs: +cpn*cos, -spn*sin. *)
   s *. ((cpn *. v.(1)) -. (spn *. v.(0)))
 
+(* Overriding the closures clears the kernel descriptor: the flat kernel
+   serves the descriptor's arithmetic, not the naive one. *)
 let naive_spec monotone =
   let base = Funcs.Specs.cospi Funcs.Specs.float32 in
-  if monotone then base else { base with reduce = naive_reduce; compensate = naive_compensate }
+  if monotone then base
+  else { base with reduce = naive_reduce; compensate = naive_compensate; kernel = None }
 
 let () =
   print_endline "== cospi output compensation: naive vs monotone (paper §5) ==\n";

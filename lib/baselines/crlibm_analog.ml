@@ -98,17 +98,17 @@ let quick_coeffs name =
     correctness experiments. *)
 let timed_eval name =
   let coeffs = quick_coeffs name in
-  let reduce =
+  let family =
     match name with
-    | "exp" | "exp10" | "sinh" | "cosh" ->
-        fun x -> (Funcs.Reductions.sinhcosh_reduce (Float.abs x)).r
-    | "exp2" -> fun x -> (Funcs.Reductions.exp2_reduce x).r
-    | "ln" | "log2" | "log10" -> fun x -> (Funcs.Reductions.log_reduce x).r
-    | _ -> fun x -> (Funcs.Reductions.sinpi_reduce x).r
+    | "exp" | "exp10" | "sinh" | "cosh" -> "sinh" (* r = |x| - N/64 *)
+    | "exp2" -> "exp2"
+    | "ln" | "log2" | "log10" -> "ln"
+    | _ -> "sinpi"
   in
+  let reduce = (Funcs.Specs.by_name family Funcs.Specs.float32).reduce in
   let tbl = Parallel.Once.get Funcs.Tables.exp2_j in
   fun x ->
-    let r = reduce x in
+    let r = (reduce x).r in
     let p = dd_horner coeffs r in
     (* Table compensation in double-double + the quick-phase rounding
        test (CR-LIBM falls back to its accurate phase when the result is

@@ -129,6 +129,10 @@ let make mode ~trig_int =
   let tb = Parallel.Once.get (match mode with F32 -> tables_f32 | F64 -> tables_f64) in
   let s = sat_of mode in
   let r = rnd mode in
+  (* The library's own range reductions, through the float32 specs. *)
+  let reduce name = (Funcs.Specs.by_name name Funcs.Specs.float32).reduce in
+  let log_reduce = reduce "ln" and sinpi_reduce = reduce "sinpi" in
+  let cospi_reduce = reduce "cospi" and sinhcosh_reduce = reduce "sinh" in
   let exp_like ~hi ~lo ~inv_c ~(cw : Funcs.Tables.cody_waite) coeffs x =
     if Float.is_nan x then Float.nan
     else if x >= hi then infinity
@@ -138,7 +142,7 @@ let make mode ~trig_int =
       let fk = float_of_int k in
       let rr = r (r (x -. (fk *. cw.hi)) -. r (fk *. cw.lo)) in
       let q = k asr 6 and j = k land 63 in
-      r (Funcs.Tables.pow2 q *. r (tb.exp2_j.(j) *. horner r coeffs rr))
+      r (Serve.Kernel.pow2 q *. r (tb.exp2_j.(j) *. horner r coeffs rr))
     end
   in
   let log_like ~scale ~ftab coeffs x =
@@ -146,8 +150,8 @@ let make mode ~trig_int =
     else if x = 0.0 then neg_infinity
     else if x = infinity then infinity
     else begin
-      let red = Funcs.Reductions.log_reduce x in
-      let j, e = Funcs.Reductions.log_key red.key in
+      let red = log_reduce x in
+      let j = red.key land 0xFF and e = (red.key lsr 8) - 2048 in
       let rr = r red.r in
       let p = r (horner r coeffs rr *. rr) in
       r (r (float_of_int e *. scale) +. r (ftab.(j) +. p))
@@ -157,7 +161,7 @@ let make mode ~trig_int =
     if not (Float.is_finite x) then Float.nan
     else if Float.abs x >= trig_int then 0.0
     else begin
-      let red = Funcs.Reductions.sinpi_reduce x in
+      let red = sinpi_reduce x in
       let n = red.key land 0x1FF in
       let sg = if red.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
       let rr = r red.r in
@@ -169,7 +173,7 @@ let make mode ~trig_int =
     if not (Float.is_finite x) then Float.nan
     else if Float.abs x >= trig_int then if Float.rem (Float.abs x) 2.0 = 1.0 then -1.0 else 1.0
     else begin
-      let red = Funcs.Reductions.cospi_reduce x in
+      let red = cospi_reduce x in
       let n' = red.key land 0x1FF in
       let sg = if red.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
       let rr = r red.r in
@@ -190,7 +194,7 @@ let make mode ~trig_int =
       let a = Float.abs x and sg = if x < 0.0 then -1.0 else 1.0 in
       if a >= 80.0 then sg *. r (0.5 *. exp_for_big a)
       else begin
-        let red = Funcs.Reductions.sinhcosh_reduce x in
+        let red = sinhcosh_reduce x in
         let n = red.key land 0x1FFF in
         let rr = r red.r in
         let vs = r (horner r tb.c_sinh rr *. rr) and vc = horner r tb.c_cosh rr in
@@ -204,7 +208,7 @@ let make mode ~trig_int =
       let a = Float.abs x in
       if a >= 80.0 then r (0.5 *. exp_for_big a)
       else begin
-        let red = Funcs.Reductions.sinhcosh_reduce x in
+        let red = sinhcosh_reduce x in
         let n = red.key land 0x1FFF in
         let rr = r red.r in
         let vs = r (horner r tb.c_sinh rr *. rr) and vc = horner r tb.c_cosh rr in

@@ -45,7 +45,26 @@ type t = {
          serving; below it the runtime keeps the full polynomial. *)
 }
 
-let default =
+(* Environment overrides, read through [lookup] ([Sys.getenv_opt] for
+   {!default}; tests pass a fake).  An unset or blank variable keeps the
+   built-in value; a set but unusable one is refused, naming the
+   variable and its value, instead of silently falling back. *)
+let of_env lookup =
+  let value var =
+    match lookup var with
+    | Some v when String.trim v <> "" -> Some (String.trim v)
+    | _ -> None
+  in
+  let refuse var v want = invalid_arg (Printf.sprintf "%s=%S: expected %s" var v want) in
+  let flag var =
+    match value var with
+    | None -> false
+    | Some v -> (
+        match String.lowercase_ascii v with
+        | "1" | "true" -> true
+        | "0" | "false" -> false
+        | _ -> refuse var v "1/true or 0/false")
+  in
   {
     sample_init = 24;
     sample_narrow = 12;
@@ -54,20 +73,18 @@ let default =
     cex_rounds = 40;
     max_split_bits = 10;
     start_split_bits = 0;
-    lp_warm = (match Sys.getenv_opt "RLIBM_LP_WARM" with Some ("1" | "true") -> true | _ -> false);
-    oracle_cache_dir =
-      (match Sys.getenv_opt "RLIBM_ORACLE_CACHE" with
-      | Some d when String.trim d <> "" -> Some (String.trim d)
-      | _ -> None);
+    lp_warm = flag "RLIBM_LP_WARM";
+    oracle_cache_dir = value "RLIBM_ORACLE_CACHE";
     batch_par_min =
-      (match Sys.getenv_opt "RLIBM_BATCH_PAR_MIN" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some v when v >= 0 -> v
-          | _ -> 1 lsl 14)
-      | None -> 1 lsl 14);
-    progressive =
-      (match Sys.getenv_opt "RLIBM_PROG" with Some ("1" | "true") -> true | _ -> false);
+      (match value "RLIBM_BATCH_PAR_MIN" with
+      | None -> 1 lsl 14
+      | Some v -> (
+          match int_of_string_opt v with
+          | Some n when n >= 0 -> n
+          | _ -> refuse "RLIBM_BATCH_PAR_MIN" v "a non-negative integer"));
+    progressive = flag "RLIBM_PROG";
     prog_cert_bits = 3;
     prog_min_coverage = 0.90;
   }
+
+let default = of_env Sys.getenv_opt

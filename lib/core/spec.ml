@@ -27,6 +27,18 @@ type component = {
   dom_neg : (float * float) option;  (* hull of negative reduced inputs, [lo <= hi < 0] *)
 }
 
+(* The flat serving kernel's description of a spec's run-time path: the
+   range reduction and output compensation ({!Serve.Kernel.reduce} and
+   {!Serve.Kernel.compensate} interpret [family]; the spec's [reduce]
+   and [compensate] closures are derived from it), the special-region
+   probe, and the IEEE field decode ([None] for posits, which serve
+   through the closures only). *)
+type kernel = {
+  family : Serve.Kernel.family;
+  check : Serve.Kernel.check;
+  fmt : Fp.Ieee.format option;
+}
+
 type t = {
   name : string;
   repr : (module Fp.Representation.S);
@@ -65,6 +77,11 @@ type t = {
          tables for most functions).  Deeper tables also shrink the
          polynomial's error between enumerated inputs, which matters
          under sampled generation. *)
+  kernel : kernel option;
+      (* [Some] for the flat families, whose [reduce]/[compensate] must
+         then be the descriptor's; a spec that overrides either closure
+         must clear it, or the kernel would serve other arithmetic than
+         the tables were fitted against. *)
 }
 
 (* Degree of a component's polynomial (largest exponent). *)

@@ -19,8 +19,8 @@
    would be a false certification (same stance as Campaign.Report,
    whose merge is built on [merge_rows]).
 
-   [diff] carries the bench-gate comparison semantics that used to live
-   in lib/benchgate: per-metric worseness ratios with direction
+   [diff] carries the bench-gate comparison semantics (bin/bench_gate):
+   per-metric worseness ratios with direction
    inferred from the metric name, degenerate baselines mapped to
    infinite ratios, and a gated metric missing from the current run
    treated as a failure rather than a skip. *)
@@ -358,8 +358,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Legacy BENCH_<rev>.json reader (the pre-schema flat metric map).    *)
-(* The scanners moved here verbatim from lib/benchgate so committed    *)
-(* baselines stay readable forever; benchgate re-exports them.         *)
+(* Committed baselines must stay readable forever.                     *)
 (* ------------------------------------------------------------------ *)
 
 let family key = match String.index_opt key '.' with Some i -> String.sub key 0 i | None -> key
@@ -786,7 +785,7 @@ let merge (a : t) (b : t) : (t, string) result =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Diff: the bench-gate comparison semantics (moved from benchgate).   *)
+(* Diff: the bench-gate comparison semantics.                          *)
 (* ------------------------------------------------------------------ *)
 
 type direction = Lower_better | Higher_better

@@ -2,40 +2,22 @@
    {!Rlibm.Generator.generated} into a {!Serve.Kernel.plan}.
 
    The plan is a *data* rendering of exactly the structure the scalar
-   path interprets — same tables, same thresholds, same coefficient
-   rows — so kernel evaluation is bit-identical by construction, with
-   the scalar path itself installed as the plan's fallback for special
-   and non-finite inputs.
+   path interprets — the spec's own kernel descriptor (whose family
+   also drives the spec's reduction and compensation), the same
+   coefficient rows — so kernel evaluation is bit-identical by
+   construction, with the scalar path itself installed as the plan's
+   fallback for special and non-finite inputs.
 
    Not every generated function can be flattened: posits have no IEEE
-   field decode, and a component whose term pattern falls outside the
-   four shipped Horner shapes has no monomorphic kernel.  [of_generated]
+   field decode, sin/cos/tan carry no descriptor, and a component whose
+   term pattern falls outside the four shipped Horner shapes has no
+   monomorphic kernel.  [of_generated]
    returns [None] for those and callers (Funcs.Batch, bin/serve) keep
    using the boxed closure path. *)
 
 module G = Rlibm.Generator
 module K = Serve.Kernel
 module I = Fp.Ieee
-
-(* Recover the Specs.target a spec was built from, by representation
-   name + rounding mode.  The threshold fields the kernel's check needs
-   live on the target, not the spec (the spec only keeps the fused
-   special closure). *)
-let target_of_spec (spec : Rlibm.Spec.t) : Specs.target option =
-  let module T = (val spec.repr) in
-  let base =
-    match T.name with
-    | "float32" -> Some Specs.float32
-    | "bfloat16" -> Some Specs.bfloat16
-    | "float16" -> Some Specs.float16
-    | "float34" -> Some Specs.float34
-    | "bfloat18" -> Some Specs.bfloat18
-    | "float18" -> Some Specs.float18
-    | _ -> None (* posits: no IEEE decode, no kernel *)
-  in
-  Option.map
-    (fun (t : Specs.target) -> if t.mode = spec.mode then t else Specs.with_mode t spec.mode)
-    base
 
 let shape_of_terms = function
   | [| 0; 1; 2; 3 |] -> Some K.S0123
@@ -70,92 +52,6 @@ let piece_of (pw : Rlibm.Piecewise.t) : K.piece option =
           neg = Option.map (fun g -> group_of g nt) pw.neg;
           pos = Option.map (fun g -> group_of g nt) pw.pos;
         }
-
-(* Family + check for one function name.  Table arrays are copied out of
-   the shared Parallel.Once cells: the plan owns its tables (and
-   Serve.Run clones them again per domain). *)
-let family_check (t : Specs.target) name : (K.family * K.check) option =
-  let once = Parallel.Once.get in
-  let exp_consts () =
-    let cw : Tables.cody_waite = once Tables.ln2_over_64 in
-    (92.332482616893656877, cw.hi, cw.lo)
-  in
-  match name with
-  | "ln" ->
-      Some
-        ( K.Log { escale = once Tables.ln2_d; f_tbl = Array.copy (once Tables.ln_f); add_one = false },
-          K.Chk_log )
-  | "log2" ->
-      Some
-        ( K.Log { escale = 1.0; f_tbl = Array.copy (once Tables.log2_f); add_one = false },
-          K.Chk_log )
-  | "log10" ->
-      Some
-        ( K.Log
-            { escale = once Tables.log10_2_d; f_tbl = Array.copy (once Tables.log10_f); add_one = false },
-          K.Chk_log )
-  | "log1p" ->
-      Some
-        ( K.Log { escale = once Tables.ln2_d; f_tbl = Array.copy (once Tables.ln_f); add_one = true },
-          K.Chk_log1p { snap = Specs.log1p_snap t } )
-  | "exp" ->
-      let inv_c, hi, lo = exp_consts () in
-      Some
-        ( K.Exp { inv_c; cw_hi = hi; cw_lo = lo; t2 = Array.copy (once Tables.exp2_j); minus_one = false },
-          K.Chk_signed { hi = t.exp_hi; lo = t.exp_lo; snap = t.one_snap } )
-  | "exp2" ->
-      (* r = x - k/64 exactly: cw = (2^-6, 0) makes the generic
-         Cody-Waite subtraction bit-identical to exp2_reduce. *)
-      Some
-        ( K.Exp
-            { inv_c = 64.0; cw_hi = 0.015625; cw_lo = 0.0; t2 = Array.copy (once Tables.exp2_j); minus_one = false },
-          K.Chk_signed { hi = t.exp2_hi; lo = t.exp2_lo; snap = t.one_snap } )
-  | "exp10" ->
-      let cw : Tables.cody_waite = once Tables.log10_2_over_64 in
-      Some
-        ( K.Exp
-            {
-              inv_c = 212.60335893188592315;
-              cw_hi = cw.hi;
-              cw_lo = cw.lo;
-              t2 = Array.copy (once Tables.exp2_j);
-              minus_one = false;
-            },
-          K.Chk_signed { hi = t.exp10_hi; lo = t.exp10_lo; snap = t.one_snap } )
-  | "expm1" ->
-      let inv_c, hi, lo = exp_consts () in
-      Some
-        ( K.Exp { inv_c; cw_hi = hi; cw_lo = lo; t2 = Array.copy (once Tables.exp2_j); minus_one = true },
-          K.Chk_signed { hi = t.exp_hi; lo = t.expm1_lo; snap = Specs.expm1_snap t } )
-  | "tanh" ->
-      let inv_c, hi, lo = exp_consts () in
-      Some
-        ( K.Tanh { inv_c; cw_hi = hi; cw_lo = lo; t2 = Array.copy (once Tables.exp2_j) },
-          K.Chk_abs { hi = t.tanh_hi; snap = Specs.tanh_snap t } )
-  | "sinh" ->
-      Some
-        ( K.Sinh { sh = Array.copy (once Tables.sinh_n); ch = Array.copy (once Tables.cosh_n) },
-          K.Chk_abs { hi = t.sinh_hi; snap = Specs.sinh_snap t } )
-  | "cosh" ->
-      Some
-        ( K.Cosh { sh = Array.copy (once Tables.sinh_n); ch = Array.copy (once Tables.cosh_n) },
-          K.Chk_abs { hi = t.sinh_hi; snap = Specs.cosh_snap t } )
-  | "sinpi" ->
-      Some
-        ( K.Sinpi { spn = Array.copy (once Tables.sinpi_n); cpn = Array.copy (once Tables.cospi_n) },
-          K.Chk_abs { hi = t.trig_int; snap = t.trig_tiny } )
-  | "cospi" ->
-      Some
-        ( K.Cospi { spn = Array.copy (once Tables.sinpi_n); cpn = Array.copy (once Tables.cospi_n) },
-          K.Chk_abs { hi = t.trig_int; snap = Specs.cospi_snap t } )
-  | "sin" | "cos" | "tan" ->
-      (* No flat kernel for the radian trig family: the degree-7
-         component shapes fall outside the four shipped Horner shapes
-         and the Payne–Hanek reduction has no field-decode fast path.
-         Callers stay on the boxed scalar closure, which replays the
-         exact generation-time arithmetic. *)
-      None
-  | _ -> None
 
 (* Lower the generator's progressive certificates into the kernel's
    plain tier data.  Only an exhaustive generation's certificates are
@@ -216,52 +112,50 @@ let tier_of (g : G.generated) : K.tpiece array option =
       then None
       else Some (Array.init n (fun i -> lower_tpiece g p i p.Rlibm.Prog.serve_k.(i)))
 
+(* The spec's kernel descriptor supplies the family (copied: the plan
+   owns its tables, and Serve.Run clones them again per domain), the
+   special probe and the IEEE decode. *)
 let build (g : G.generated) : K.plan option =
-  match target_of_spec g.spec with
-  | None -> None
-  | Some t -> (
-      match t.fmt with
-      | None -> None
-      | Some fmt -> (
-          match family_check t g.spec.name with
-          | None -> None
-          | Some (family, check) ->
-              let pieces_opt = Array.map piece_of g.pieces in
-              if Array.exists Option.is_none pieces_opt then None
-              else begin
-                let pieces = Array.map Option.get pieces_opt in
-                Some
-                  {
-                    K.name = g.spec.name;
-                    tname = t.tname;
-                    mode = g.spec.mode;
-                    width = I.width fmt;
-                    hw32 = fmt.eb = 8 && fmt.mb = 23;
-                    hw_rne = fmt.eb = 8 && fmt.mb = 23 && g.spec.mode = Fp.Rounding_mode.Rne;
-                    i_mb = fmt.mb;
-                    i_emask = I.exp_mask fmt;
-                    i_mmask = I.mant_mask fmt;
-                    i_sbit = I.sign_bit fmt;
-                    i_dexp_off = 1023 - I.bias fmt;
-                    i_sub_scale = Float.ldexp 1.0 (I.emin fmt - fmt.mb);
-                    check;
-                    family;
-                    pieces;
-                    tier = tier_of g;
-                    o_mb = fmt.mb;
-                    o_mmask = I.mant_mask fmt;
-                    o_sbit = I.sign_bit fmt;
-                    o_bias = I.bias fmt;
-                    o_emin = I.emin fmt;
-                    o_emax = I.emax fmt;
-                    o_nan = I.nan_pattern fmt;
-                    o_inf_pos = I.inf_pattern fmt 1;
-                    o_inf_neg = I.inf_pattern fmt (-1);
-                    o_maxf_pos = I.max_finite_pattern fmt 1;
-                    o_maxf_neg = I.max_finite_pattern fmt (-1);
-                    fallback = (fun pat -> G.eval_pattern g pat);
-                  }
-              end))
+  match g.spec.kernel with
+  | None | Some { fmt = None; _ } -> None
+  | Some { family; check; fmt = Some fmt } ->
+      let pieces_opt = Array.map piece_of g.pieces in
+      if Array.exists Option.is_none pieces_opt then None
+      else begin
+        let module T = (val g.spec.repr) in
+        let hw32 = fmt.eb = 8 && fmt.mb = 23 in
+        Some
+          {
+            K.name = g.spec.name;
+            tname = T.name;
+            mode = g.spec.mode;
+            width = I.width fmt;
+            hw32;
+            hw_rne = hw32 && g.spec.mode = Fp.Rounding_mode.Rne;
+            i_mb = fmt.mb;
+            i_emask = I.exp_mask fmt;
+            i_mmask = I.mant_mask fmt;
+            i_sbit = I.sign_bit fmt;
+            i_dexp_off = 1023 - I.bias fmt;
+            i_sub_scale = Float.ldexp 1.0 (I.emin fmt - fmt.mb);
+            check;
+            family = K.clone_family family;
+            pieces = Array.map Option.get pieces_opt;
+            tier = tier_of g;
+            o_mb = fmt.mb;
+            o_mmask = I.mant_mask fmt;
+            o_sbit = I.sign_bit fmt;
+            o_bias = I.bias fmt;
+            o_emin = I.emin fmt;
+            o_emax = I.emax fmt;
+            o_nan = I.nan_pattern fmt;
+            o_inf_pos = I.inf_pattern fmt 1;
+            o_inf_neg = I.inf_pattern fmt (-1);
+            o_maxf_pos = I.max_finite_pattern fmt 1;
+            o_maxf_neg = I.max_finite_pattern fmt (-1);
+            fallback = (fun pat -> G.eval_pattern g pat);
+          }
+      end
 
 (* Memoized per generated value (physically: Libm.get caches and reuses
    the generated record, so assq hits after the first call). *)

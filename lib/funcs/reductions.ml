@@ -1,43 +1,15 @@
-(* Range reductions RR_H and output compensations OC_H, in double.
+(* Range-reduction support: the reduced-domain hulls of every family,
+   and the radian trig family's reduction RR_H and compensations OC_H.
 
-   Each family packs whatever OC needs (table index, scale, signs) into
-   the integer [key] of [Spec.reduction].  All OCs are monotone in the
-   component values: table entries are non-negative by construction
-   (§3.2 requires it; §5's cospi redesign achieves it for cospi). *)
+   The flat families' reductions and compensations (log, exp, tanh,
+   sinpi/cospi, sinh/cosh) are defined once, in {!Serve.Kernel.reduce}
+   and {!Serve.Kernel.compensate}; {!Specs} derives the spec closures
+   from the kernel descriptor.  sin/cos/tan have no flat kernel, so
+   their reduction lives here.  Each family packs whatever OC needs
+   (table index, scale, signs) into the integer [key] of
+   [Spec.reduction]. *)
 
 module S = Rlibm.Spec
-
-(* ------------------------------------------------------------------ *)
-(* Log family: x = 2^e * m, m in [1,2); F = 1 + j/128 from m's top 7   *)
-(* mantissa bits; r = (m - F)/F in [0, 2^-7); then                     *)
-(*   log(x) = e*log(2) + log(F) + log1p(r).                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Decompose a positive finite double.  Exact except for the final
-   division by F. *)
-let log_reduce x =
-  let m, ex = Float.frexp x in
-  (* m in [0.5, 1); rescale to [1, 2). *)
-  let m = 2.0 *. m and e = ex - 1 in
-  let j = Int64.to_int (Int64.logand (Int64.shift_right_logical (Fp.Fp64.bits m) 45) 0x7FL) in
-  let f = m -. (1.0 +. (float_of_int j /. 128.0)) in
-  let r = f /. (1.0 +. (float_of_int j /. 128.0)) in
-  { S.r; key = j lor ((e + 2048) lsl 8) }
-
-let log_key key = (key land 0xFF, (key lsr 8) - 2048)
-
-(* OC for ln: v = ln(1+r) |-> e*ln2 + lnF[j] + v.  Monotone increasing. *)
-let ln_compensate rr (v : float array) =
-  let j, e = log_key rr.S.key in
-  (float_of_int e *. Parallel.Once.get Tables.ln2_d) +. (Parallel.Once.get Tables.ln_f).(j) +. v.(0)
-
-let log2_compensate rr (v : float array) =
-  let j, e = log_key rr.S.key in
-  float_of_int e +. (Parallel.Once.get Tables.log2_f).(j) +. v.(0)
-
-let log10_compensate rr (v : float array) =
-  let j, e = log_key rr.S.key in
-  (float_of_int e *. Parallel.Once.get Tables.log10_2_d) +. (Parallel.Once.get Tables.log10_f).(j) +. v.(0)
 
 (* Analytic hull of the log families' reduced input: r = f/F with
    0 <= f < 2^-7; the smallest nonzero f is one ulp of the (<= 28-bit
@@ -50,46 +22,11 @@ let log10_compensate rr (v : float array) =
    that degenerate constraint. *)
 let log_dom_pos = (Float.ldexp 1.0 (-33), Float.ldexp 1.0 (-7))
 
-(* ------------------------------------------------------------------ *)
-(* Exp family: k = round(x * 64/log_b(2)); q = k/64, j = k mod 64;     *)
-(*   b^x = 2^q * 2^(j/64) * b^r,   r = x - k*log_b(2)/64.              *)
-(* The reduction constant is split Cody-Waite style so k*hi is exact.  *)
-(* ------------------------------------------------------------------ *)
-
-let exp_key key = (key land 0xFF, (key lsr 8) - 2048)
-
-(* Generic exp-family reduction; [inv_c] = 64/log_b(2) as a double,
-   [cw] the split constant log_b(2)/64. *)
-let exp_reduce ~inv_c ~(cw : Tables.cody_waite) x =
-  let k = Float.to_int (Float.round (x *. inv_c)) in
-  let fk = float_of_int k in
-  let r = x -. (fk *. cw.hi) -. (fk *. cw.lo) in
-  let q = k asr 6 and j = k land 63 in
-  { S.r; key = j lor ((q + 2048) lsl 8) }
-
-(* exp2 needs no Cody-Waite: r = x - k/64 is exact in double. *)
-let exp2_reduce x =
-  let k = Float.to_int (Float.round (x *. 64.0)) in
-  let r = x -. (float_of_int k /. 64.0) in
-  let q = k asr 6 and j = k land 63 in
-  { S.r; key = j lor ((q + 2048) lsl 8) }
-
-(* OC: v = b^r |-> 2^q * (T2[j] * v).  T2 > 0, so monotone increasing. *)
-let exp_compensate rr (v : float array) =
-  let j, q = exp_key rr.S.key in
-  Tables.pow2 q *. ((Parallel.Once.get Tables.exp2_j).(j) *. v.(0))
-
-(* r spans [-log_b(2)/128, +log_b(2)/128]; down to one target ulp. *)
+(* Exp family: r spans [-log_b(2)/128, +log_b(2)/128]; down to one
+   target ulp. *)
 let exp_dom ~half_width =
   ( Some (-.half_width, -.Float.ldexp 1.0 (-36)),
     Some (Float.ldexp 1.0 (-36), half_width) )
-
-(* ------------------------------------------------------------------ *)
-(* sinpi (§2): |x| = 2I + J; J = K + L; L' = L or 1-L; L' = N/512 + R. *)
-(*   sinpi(x) = S * (spn[N]*cospi(R) + cpn[N]*sinpi(R)),               *)
-(*   S = sign(x) * (-1)^K.                                             *)
-(* Components are ordered [sinpi_r; cospi_r] for this family.          *)
-(* ------------------------------------------------------------------ *)
 
 (* Exact fractional decomposition of z >= 0 (z < 2^52): z mod 2 and its
    integer/fraction split, all exact in double. *)
@@ -100,117 +37,11 @@ let mod2_split z =
   let l = j -. float_of_int k in
   (k, l)
 
-let sinpi_reduce x =
-  let sign0 = if x < 0.0 || (x = 0.0 && 1.0 /. x < 0.0) then -1 else 1 in
-  let z = Float.abs x in
-  let k, l = mod2_split z in
-  (* Mirror around 1/2: sinpi(l) = sinpi(1-l); 1-l is exact (Sterbenz). *)
-  let l' = if l > 0.5 then 1.0 -. l else l in
-  let n = Stdlib.min (Float.to_int (l' *. 512.0)) 255 in
-  let r = l' -. (float_of_int n /. 512.0) in
-  let s = sign0 * if k = 1 then -1 else 1 in
-  { S.r; key = n lor ((if s < 0 then 1 else 0) lsl 9) }
-
-let sinpi_compensate rr (v : float array) =
-  let n = rr.S.key land 0x1FF in
-  let s = if rr.S.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
-  let spn = (Parallel.Once.get Tables.sinpi_n).(n) and cpn = (Parallel.Once.get Tables.cospi_n).(n) in
-  s *. ((spn *. v.(1)) +. (cpn *. v.(0)))
-
-(* ------------------------------------------------------------------ *)
-(* cospi (§5): after folding to L' in [0, 1/2], write L' = N'/512 - R  *)
-(* with R in [0, 1/512] so every table coefficient stays non-negative  *)
-(* and OC is monotone (the §5 redesign):                               *)
-(*   cospi(L') = cpn[N']*cospi(R) + spn[N']*sinpi(R)   (N' in [1,256]) *)
-(*   cospi(L') = cospi(R), R = L'                      (N' = 0).       *)
-(* ------------------------------------------------------------------ *)
-
-let cospi_reduce x =
-  let z = Float.abs x in
-  let k, l = mod2_split z in
-  let m, l' = if l > 0.5 then (1, 1.0 -. l) else (0, l) in
-  let n = Stdlib.min (Float.to_int (l' *. 512.0)) 255 in
-  let n', r =
-    if n = 0 && l' < 1.0 /. 1024.0 then (0, l')
-    else begin
-      (* Round up to the next table point; N'/512 - L' is exact. *)
-      let n' = Float.to_int (Float.ceil (l' *. 512.0)) in
-      let n' = if float_of_int n' /. 512.0 = l' then n' + 1 else n' in
-      let n' = Stdlib.min n' 256 in
-      (n', (float_of_int n' /. 512.0) -. l')
-    end
-  in
-  let s = (if k = 1 then -1 else 1) * if m = 1 then -1 else 1 in
-  { S.r; key = n' lor ((if s < 0 then 1 else 0) lsl 9) }
-
-let cospi_compensate rr (v : float array) =
-  let n' = rr.S.key land 0x1FF in
-  let s = if rr.S.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
-  if n' = 0 then s *. v.(1)
-  else begin
-    let spn = (Parallel.Once.get Tables.sinpi_n).(n') and cpn = (Parallel.Once.get Tables.cospi_n).(n') in
-    s *. ((cpn *. v.(1)) +. (spn *. v.(0)))
-  end
-
-(* Reduced domain for both sinpi and cospi components. *)
+(* Reduced domain for both sinpi and cospi components: R in [0, 1/512]. *)
 let sincospi_dom_pos = (Float.ldexp 1.0 (-32), 1.0 /. 512.0)
 
-(* ------------------------------------------------------------------ *)
-(* sinh/cosh: |x| = N/64 + R, R in [0, 1/64), exact;                   *)
-(*   sinh(|x|) = sh[N]*cosh(R) + ch[N]*sinh(R)                         *)
-(*   cosh(|x|) = ch[N]*cosh(R) + sh[N]*sinh(R)                         *)
-(* Components are ordered [sinh_r; cosh_r].                            *)
-(* ------------------------------------------------------------------ *)
-
-let sinhcosh_reduce x =
-  let z = Float.abs x in
-  let n = Float.to_int (z *. 64.0) in
-  let r = z -. (float_of_int n /. 64.0) in
-  { S.r; key = n lor ((if x < 0.0 then 1 else 0) lsl 13) }
-
-let sinh_compensate rr (v : float array) =
-  let n = rr.S.key land 0x1FFF in
-  let s = if rr.S.key land (1 lsl 13) <> 0 then -1.0 else 1.0 in
-  let sh = (Parallel.Once.get Tables.sinh_n).(n) and ch = (Parallel.Once.get Tables.cosh_n).(n) in
-  s *. ((sh *. v.(1)) +. (ch *. v.(0)))
-
-let cosh_compensate rr (v : float array) =
-  let n = rr.S.key land 0x1FFF in
-  let sh = (Parallel.Once.get Tables.sinh_n).(n) and ch = (Parallel.Once.get Tables.cosh_n).(n) in
-  (ch *. v.(1)) +. (sh *. v.(0))
-
+(* sinh/cosh: R = |x| - N/64 in [0, 1/64). *)
 let sinhcosh_dom_pos = (Float.ldexp 1.0 (-31), 1.0 /. 64.0)
-
-(* ------------------------------------------------------------------ *)
-(* Extension functions (paper §7: more elementary functions on the     *)
-(* same machinery).                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* tanh: tanh(|x|) = (W - 1)/(W + 1) with W = e^(2|x|), computed with
-   the exp-family reduction on t = 2|x| (exact doubling).  OC is
-   monotone increasing in the component value: d/dW[(W-1)/(W+1)] > 0. *)
-let tanh_reduce x =
-  let t = 2.0 *. Float.abs x in
-  let red = exp_reduce ~inv_c:92.332482616893656877 ~cw:(Parallel.Once.get Tables.ln2_over_64) t in
-  { red with S.key = red.S.key lor ((if x < 0.0 then 1 else 0) lsl 22) }
-
-let tanh_compensate rr (v : float array) =
-  let j, q = exp_key (rr.S.key land 0x3FFFFF) in
-  let s = if rr.S.key land (1 lsl 22) <> 0 then -1.0 else 1.0 in
-  let w = Tables.pow2 q *. ((Parallel.Once.get Tables.exp2_j).(j) *. v.(0)) in
-  s *. ((w -. 1.0) /. (w +. 1.0))
-
-(* expm1: same reduction as exp; OC subtracts 1 (exact by Sterbenz when
-   the scaled value lands in [1/2, 2], absorbed by Algorithm 2
-   elsewhere).  Monotone increasing. *)
-let expm1_compensate rr (v : float array) =
-  let j, q = exp_key rr.S.key in
-  (Tables.pow2 q *. ((Parallel.Once.get Tables.exp2_j).(j) *. v.(0))) -. 1.0
-
-(* log1p: z = 1 + x is exact in double for every target value outside
-   the |x| <= tiny special region, so the log-family reduction applies
-   verbatim to z. *)
-let log1p_reduce x = log_reduce (1.0 +. x)
 
 (* ------------------------------------------------------------------ *)
 (* sin/cos/tan: Payne–Hanek reduction by the nearest multiple of pi/2. *)

@@ -21,6 +21,7 @@
 
 module S = Rlibm.Spec
 module R = Reductions
+module K = Serve.Kernel
 module E = Oracle.Elementary
 module Repr = Fp.Representation
 
@@ -542,198 +543,134 @@ let cos_r_component =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Specs.                                                              *)
+(* Flat families: the serving kernel's descriptor is the definition.   *)
 (* ------------------------------------------------------------------ *)
 
-let ln (t : target) =
+(* RR_H and OC_H of a flat family run {!Serve.Kernel.reduce} and
+   {!Serve.Kernel.compensate} through a fresh scratch (x and r in slot
+   0, component values in 1-2, the result in 3), so the generator fits
+   the tables against exactly the arithmetic the kernel serves. *)
+let flat_reduce family x =
+  let s = [| x; 0.0; 0.0; 0.0 |] in
+  let key = K.reduce family s in
+  { S.r = s.(0); key }
+
+let flat_compensate family (rr : S.reduction) (v : float array) =
+  let s = [| rr.r; v.(0); (if Array.length v > 1 then v.(1) else 0.0); 0.0 |] in
+  K.compensate family s rr.key;
+  s.(3)
+
+let once = Parallel.Once.get
+
+let log_family ?(add_one = false) escale tbl = K.Log { escale; f_tbl = once tbl; add_one }
+
+(* [inv_c] = 64/log_b(2) as a double, [cw] the split constant
+   log_b(2)/64. *)
+let exp_family ?(minus_one = false) inv_c (cw : Tables.cody_waite) =
+  K.Exp { inv_c; cw_hi = cw.hi; cw_lo = cw.lo; t2 = once Tables.exp2_j; minus_one }
+
+let inv_ln2_64 = 92.332482616893656877 (* 64/ln2 *)
+
+(* exp2 needs no Cody-Waite split: r = x - k/64 is exact in double. *)
+let exp2_cw = { Tables.hi = 0.015625; lo = 0.0 }
+
+let flat_spec (t : target) name oracle special components ~split_hint family check =
   {
-    S.name = "ln";
+    S.name;
     repr = t.repr;
     mode = t.mode;
-    oracle = E.ln;
-    special = log_family_special t;
-    reduce = R.log_reduce;
-    components = [| log_component "ln_1p" E.ln_1p |];
-    compensate = R.ln_compensate;
+    oracle;
+    special;
+    reduce = flat_reduce family;
+    components;
+    compensate = flat_compensate family;
     oc_corners = false;
-    split_hint = 6;
+    split_hint;
+    kernel = Some { S.family; check; fmt = t.fmt };
   }
 
-let log2 (t : target) =
-  {
-    S.name = "log2";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.log2;
-    special = log_family_special t;
-    reduce = R.log_reduce;
-    components = [| log_component "log2_1p" E.log2_1p |];
-    compensate = R.log2_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+let log_spec (t : target) name oracle (cname, coracle) family =
+  flat_spec t name oracle (log_family_special t) [| log_component cname coracle |] ~split_hint:6
+    family K.Chk_log
 
-let log10 (t : target) =
-  {
-    S.name = "log10";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.log10;
-    special = log_family_special t;
-    reduce = R.log_reduce;
-    components = [| log_component "log10_1p" E.log10_1p |];
-    compensate = R.log10_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+let ln t = log_spec t "ln" E.ln ("ln_1p", E.ln_1p) (log_family (once Tables.ln2_d) Tables.ln_f)
 
-let exp (t : target) =
-  {
-    S.name = "exp";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.exp;
-    special = exp_family_special t ~hi:t.exp_hi ~lo:t.exp_lo;
-    reduce =
-      (fun x ->
-        R.exp_reduce ~inv_c:92.332482616893656877 (* 64/ln2 *)
-          ~cw:(Parallel.Once.get Tables.ln2_over_64) x);
-    components = [| exp_component "exp_r" E.exp ~half_width:0.0054182 |];
-    compensate = R.exp_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+(* e*1.0 is exact, so log2 shares the family's expression. *)
+let log2 t = log_spec t "log2" E.log2 ("log2_1p", E.log2_1p) (log_family 1.0 Tables.log2_f)
 
-let exp2 (t : target) =
-  {
-    S.name = "exp2";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.exp2;
-    special = exp_family_special t ~hi:t.exp2_hi ~lo:t.exp2_lo;
-    reduce = R.exp2_reduce;
-    components = [| exp_component "exp2_r" E.exp2 ~half_width:0.0078125 |];
-    compensate = R.exp_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+let log10 t =
+  log_spec t "log10" E.log10 ("log10_1p", E.log10_1p)
+    (log_family (once Tables.log10_2_d) Tables.log10_f)
 
-let exp10 (t : target) =
-  {
-    S.name = "exp10";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.exp10;
-    special = exp_family_special t ~hi:t.exp10_hi ~lo:t.exp10_lo;
-    reduce =
-      (fun x ->
-        R.exp_reduce ~inv_c:212.60335893188592315 (* 64*log2(10) *)
-          ~cw:(Parallel.Once.get Tables.log10_2_over_64) x);
-    components = [| exp_component "exp10_r" E.exp10 ~half_width:0.0023526 |];
-    compensate = R.exp_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+let exp_spec (t : target) name oracle ~hi ~lo ~half_width family =
+  flat_spec t name oracle
+    (exp_family_special t ~hi ~lo)
+    [| exp_component (name ^ "_r") oracle ~half_width |]
+    ~split_hint:6 family
+    (K.Chk_signed { hi; lo; snap = t.one_snap })
+
+let exp t =
+  exp_spec t "exp" E.exp ~hi:t.exp_hi ~lo:t.exp_lo ~half_width:0.0054182
+    (exp_family inv_ln2_64 (once Tables.ln2_over_64))
+
+let exp2 t =
+  exp_spec t "exp2" E.exp2 ~hi:t.exp2_hi ~lo:t.exp2_lo ~half_width:0.0078125 (exp_family 64.0 exp2_cw)
+
+let exp10 t =
+  exp_spec t "exp10" E.exp10 ~hi:t.exp10_hi ~lo:t.exp10_lo ~half_width:0.0023526
+    (exp_family 212.60335893188592315 (* 64*log2(10) *) (once Tables.log10_2_over_64))
 
 let sinh (t : target) =
-  {
-    S.name = "sinh";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.sinh;
-    special = sinh_special t;
-    reduce = R.sinhcosh_reduce;
-    components = [| sinh_r_component; cosh_r_component |];
-    compensate = R.sinh_compensate;
-    oc_corners = false;
-    split_hint = 4;
-  }
+  flat_spec t "sinh" E.sinh (sinh_special t) [| sinh_r_component; cosh_r_component |] ~split_hint:4
+    (K.Sinh { sh = once Tables.sinh_n; ch = once Tables.cosh_n })
+    (K.Chk_abs { hi = t.sinh_hi; snap = sinh_snap t })
 
 let cosh (t : target) =
-  {
-    S.name = "cosh";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.cosh;
-    special = cosh_special t;
-    reduce = R.sinhcosh_reduce;
-    components = [| sinh_r_component; cosh_r_component |];
-    compensate = R.cosh_compensate;
-    oc_corners = false;
-    split_hint = 4;
-  }
+  flat_spec t "cosh" E.cosh (cosh_special t) [| sinh_r_component; cosh_r_component |] ~split_hint:4
+    (K.Cosh { sh = once Tables.sinh_n; ch = once Tables.cosh_n })
+    (K.Chk_abs { hi = t.sinh_hi; snap = cosh_snap t })
 
 let sinpi (t : target) =
-  {
-    S.name = "sinpi";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.sinpi;
-    special = sinpi_special t;
-    reduce = R.sinpi_reduce;
-    components = [| sinpi_r_component; cospi_r_component |];
-    compensate = R.sinpi_compensate;
-    oc_corners = false;
-    split_hint = 2;
-  }
+  flat_spec t "sinpi" E.sinpi (sinpi_special t) [| sinpi_r_component; cospi_r_component |]
+    ~split_hint:2
+    (K.Sinpi { spn = once Tables.sinpi_n; cpn = once Tables.cospi_n })
+    (K.Chk_abs { hi = t.trig_int; snap = t.trig_tiny })
 
 let cospi (t : target) =
-  {
-    S.name = "cospi";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.cospi;
-    special = cospi_special t;
-    reduce = R.cospi_reduce;
-    components = [| sinpi_r_component; cospi_r_component |];
-    compensate = R.cospi_compensate;
-    oc_corners = false;
-    split_hint = 2;
-  }
+  flat_spec t "cospi" E.cospi (cospi_special t) [| sinpi_r_component; cospi_r_component |]
+    ~split_hint:2
+    (K.Cospi { spn = once Tables.sinpi_n; cpn = once Tables.cospi_n })
+    (K.Chk_abs { hi = t.trig_int; snap = cospi_snap t })
 
+(* Extensions (paper §7: more elementary functions on the same
+   machinery).  tanh(|x|) = (W - 1)/(W + 1) with W = e^(2|x|); expm1
+   subtracts 1 after the exp compensation; log1p reduces z = 1 + x,
+   exact in double for every target value outside the |x| <= tiny
+   special region. *)
 let tanh (t : target) =
-  {
-    S.name = "tanh";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.tanh;
-    special = tanh_special t;
-    reduce = R.tanh_reduce;
-    components = [| exp_component "exp_r" E.exp ~half_width:0.0054182 |];
-    compensate = R.tanh_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+  let cw = once Tables.ln2_over_64 in
+  flat_spec t "tanh" E.tanh (tanh_special t)
+    [| exp_component "exp_r" E.exp ~half_width:0.0054182 |]
+    ~split_hint:6
+    (K.Tanh { inv_c = inv_ln2_64; cw_hi = cw.hi; cw_lo = cw.lo; t2 = once Tables.exp2_j })
+    (K.Chk_abs { hi = t.tanh_hi; snap = tanh_snap t })
 
 let expm1 (t : target) =
-  {
-    S.name = "expm1";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.expm1;
-    special = expm1_special t;
-    reduce =
-      (fun x ->
-        R.exp_reduce ~inv_c:92.332482616893656877 ~cw:(Parallel.Once.get Tables.ln2_over_64) x);
-    components = [| exp_component "exp_r" E.exp ~half_width:0.0054182 |];
-    compensate = R.expm1_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+  flat_spec t "expm1" E.expm1 (expm1_special t)
+    [| exp_component "exp_r" E.exp ~half_width:0.0054182 |]
+    ~split_hint:6
+    (exp_family ~minus_one:true inv_ln2_64 (once Tables.ln2_over_64))
+    (K.Chk_signed { hi = t.exp_hi; lo = t.expm1_lo; snap = expm1_snap t })
 
 let log1p (t : target) =
-  {
-    S.name = "log1p";
-    repr = t.repr;
-    mode = t.mode;
-    oracle = E.log1p;
-    special = log1p_special t;
-    reduce = R.log1p_reduce;
-    components = [| log_component "ln_1p" E.ln_1p |];
-    compensate = R.ln_compensate;
-    oc_corners = false;
-    split_hint = 6;
-  }
+  flat_spec t "log1p" E.log1p (log1p_special t) [| log_component "ln_1p" E.ln_1p |] ~split_hint:6
+    (log_family ~add_one:true (once Tables.ln2_d) Tables.ln_f)
+    (K.Chk_log1p { snap = log1p_snap t })
+
+(* ------------------------------------------------------------------ *)
+(* Radian trig: Payne–Hanek reduction, no flat kernel (the degree-7    *)
+(* component shapes fall outside the four shipped Horner shapes).      *)
+(* ------------------------------------------------------------------ *)
 
 let sin (t : target) =
   {
@@ -750,6 +687,7 @@ let sin (t : target) =
        probe box corners. *)
     oc_corners = true;
     split_hint = 3;
+    kernel = None;
   }
 
 let cos (t : target) =
@@ -764,6 +702,7 @@ let cos (t : target) =
     compensate = R.cos_compensate;
     oc_corners = true;
     split_hint = 3;
+    kernel = None;
   }
 
 let tan (t : target) =
@@ -778,6 +717,7 @@ let tan (t : target) =
     compensate = R.tan_compensate;
     oc_corners = true;
     split_hint = 3;
+    kernel = None;
   }
 
 (** The paper's function sets. *)

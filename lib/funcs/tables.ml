@@ -81,11 +81,6 @@ let log10_f = log_table E.log10
 
 let exp2_j = Once.make (fun () -> Array.init 64 (fun j -> cr E.exp2 (Q.of_ints j 64)))
 
-(* 2^q as an exact double for q in [-1022, 1023], via bit assembly. *)
-let pow2 q =
-  if q >= -1022 && q <= 1023 then Fp.Fp64.of_bits (Int64.shift_left (Int64.of_int (q + 1023)) 52)
-  else Float.ldexp 1.0 q
-
 (* ------------------------------------------------------------------ *)
 (* sinpi/cospi: sinpi(N/512), cospi(N/512) for N in [0, 256].          *)
 (* ------------------------------------------------------------------ *)

@@ -22,11 +22,13 @@
    in a register.
 
    Bit-identity contract: for every input pattern the plan either takes
-   the fast path — whose operation order replicates the scalar chain's
-   expression by expression (see the per-family notes below) — or bails
-   to [fallback], which IS the scalar path.  The fast path is taken only
-   outside the special-case regions, so specials stay bit-identical by
-   construction and the steady-state path allocates nothing. *)
+   the fast path or bails to [fallback], which IS the scalar path.  The
+   fast path runs the same range reduction and output compensation as
+   the scalar chain — {!reduce} and {!compensate} below are the one
+   definition both use — and its decode, polynomial and rounding steps
+   replicate the scalar chain's operation order.  The fast path is taken
+   only outside the special-case regions, so specials stay bit-identical
+   by construction and the steady-state path allocates nothing. *)
 
 type shape =
   | S0123  (* terms 0,1,2,3: dense cubic *)
@@ -100,22 +102,19 @@ type check =
       (* |x| >= hi || |x| <= snap  (sinh/cosh/tanh/sinpi/cospi) *)
   | Chk_log1p of { snap : float }  (* x <= -1 || |x| <= snap *)
 
-(* Range reduction + output compensation, one constructor per family.
-   Table arrays are flat copies owned by the plan (see {!clone}): the
-   shared {!Funcs.Tables} one-shots are never touched from the hot
-   loop, so pinned per-domain plans share no mutable or cache-hot
+(* Range reduction + output compensation, one constructor per family
+   ({!reduce} and {!compensate} interpret it).  A spec's family shares
+   the {!Funcs.Tables} arrays; a plan's are flat copies it owns (see
+   {!clone}), so pinned per-domain plans share no mutable or cache-hot
    structure. *)
 type family =
   | Log of { escale : float; f_tbl : float array; add_one : bool }
-      (* ln/log2/log10/log1p: y = e*escale + f_tbl[j] + v0.
-         escale = ln(2), 1, or log10(2); multiplying the exact integer
-         [e] by 1.0 is exact, so log2 shares the expression. *)
+      (* ln/log2/log10/log1p: y = e*escale + f_tbl[j] + v0. *)
   | Exp of { inv_c : float; cw_hi : float; cw_lo : float; t2 : float array; minus_one : bool }
       (* exp/exp2/exp10/expm1: Cody-Waite reduction, y = 2^q*(t2[j]*v0).
          exp2 uses inv_c = 64, cw = (1/64, 0): x - fk/64 is exact, and
          subtracting fk*0.0 afterwards cannot change the sign or value
-         of the result, so the generic expression is bit-identical to
-         the specialized exp2 reduction. *)
+         of the result. *)
   | Tanh of { inv_c : float; cw_hi : float; cw_lo : float; t2 : float array }
       (* tanh via w = e^(2|x|): y = s * (w-1)/(w+1) *)
   | Sinpi of { spn : float array; cpn : float array }
@@ -259,6 +258,182 @@ let round_bits (p : plan) mode hi lo =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Range reduction RR_H and output compensation OC_H of the flat        *)
+(* families.  These two functions are the only definition of that       *)
+(* arithmetic: the generator's {!Rlibm.Spec} closures run them too      *)
+(* (Funcs.Specs derives [reduce]/[compensate] from the family), so the  *)
+(* tables are fitted against exactly the code that serves them.  Both   *)
+(* pass floats through the scratch: x arrives in s.(0), and an argument *)
+(* float would box at the call boundary on the non-flambda compiler.    *)
+(* Each family packs what OC needs (table index, scale, signs) into the *)
+(* returned key; every OC is monotone in the component values (table    *)
+(* entries are non-negative, §3.2; §5's redesign achieves it for cospi).*)
+(* ------------------------------------------------------------------ *)
+
+(** [reduce f s] reduces x = s.(0) in place to r and returns the packed
+    compensation key (>= 0).  x must be finite and outside the spec's
+    special regions; the log family additionally needs its argument
+    (1 + x for log1p) to be a positive normal double, which every
+    in-domain input of a <= 32-bit target is. *)
+let[@inline] reduce (f : family) (s : float array) =
+  let x = Array.unsafe_get s 0 in
+  match f with
+  | Log f ->
+      (* x = 2^e * m, m in [1,2); F = 1 + j/128 from m's top 7 mantissa
+         bits; r = (m - F)/F in [0, 2^-7); then
+           log(x) = e*log(2) + log(F) + log1p(r).
+         Decomposed on the raw bits: the rescaled significand is the
+         mantissa field under exponent 1023 and e = biased_exponent -
+         1023.  Exact except for the final division by F. *)
+      let z = if f.add_one then 1.0 +. x else x in
+      let zb = Int64.bits_of_float z in
+      let zh = Int64.to_int (Int64.shift_right_logical zb 32) in
+      let be = zh lsr 20 in
+      let j = (zh lsr 13) land 0x7F in
+      let m2 =
+        Int64.float_of_bits
+          (Int64.logor 0x3FF0_0000_0000_0000L (Int64.logand zb 0xF_FFFF_FFFF_FFFFL))
+      in
+      let fj = 1.0 +. (float_of_int j /. 128.0) in
+      Array.unsafe_set s 0 ((m2 -. fj) /. fj);
+      j lor ((be - 1023 + 2048) lsl 8)
+  | Exp f ->
+      (* k = round(x * 64/log_b 2); q = k/64, j = k mod 64;
+           b^x = 2^q * 2^(j/64) * b^r,   r = x - k*log_b(2)/64,
+         the constant split Cody-Waite style so k*cw_hi is exact. *)
+      let k = Float.to_int (Float.round (x *. f.inv_c)) in
+      let fk = float_of_int k in
+      Array.unsafe_set s 0 (x -. (fk *. f.cw_hi) -. (fk *. f.cw_lo));
+      (k land 63) lor (((k asr 6) + 2048) lsl 8)
+  | Tanh f ->
+      (* The exp reduction on t = 2|x| (exact doubling), input sign in
+         bit 22. *)
+      let t = 2.0 *. Float.abs x in
+      let k = Float.to_int (Float.round (t *. f.inv_c)) in
+      let fk = float_of_int k in
+      Array.unsafe_set s 0 (t -. (fk *. f.cw_hi) -. (fk *. f.cw_lo));
+      (k land 63) lor (((k asr 6) + 2048) lsl 8) lor ((if x < 0.0 then 1 else 0) lsl 22)
+  | Sinpi _ ->
+      (* §2: |x| = 2I + J; J = K + L; L' = L or 1-L (1-L is exact by
+         Sterbenz, sinpi(L) = sinpi(1-L)); L' = N/512 + R, N <= 255;
+         sign S = sign(x) * (-1)^K in bit 9.  x = 0 is always special,
+         so the sign test needs no signed-zero case. *)
+      let z = Float.abs x in
+      let jj = z -. (2.0 *. Float.of_int (Float.to_int (z /. 2.0))) in
+      let jj = if jj < 0.0 then jj +. 2.0 else jj in
+      let k = if jj >= 1.0 then 1 else 0 in
+      let l = jj -. float_of_int k in
+      let l' = if l > 0.5 then 1.0 -. l else l in
+      let n0 = Float.to_int (l' *. 512.0) in
+      let n = if n0 > 255 then 255 else n0 in
+      Array.unsafe_set s 0 (l' -. (float_of_int n /. 512.0));
+      let sneg = x < 0.0 <> (k = 1) in
+      n lor ((if sneg then 1 else 0) lsl 9)
+  | Cospi _ ->
+      (* §5: after folding to L' in [0, 1/2], write L' = N'/512 - R with
+         R in [0, 1/512] (N' in [1, 256], rounded up to the next table
+         point; N'/512 - L' is exact), or R = L' with N' = 0 below 2^-10,
+         so every compensation coefficient stays non-negative. *)
+      let z = Float.abs x in
+      let jj = z -. (2.0 *. Float.of_int (Float.to_int (z /. 2.0))) in
+      let jj = if jj < 0.0 then jj +. 2.0 else jj in
+      let k = if jj >= 1.0 then 1 else 0 in
+      let l = jj -. float_of_int k in
+      let m1 = l > 0.5 in
+      let l' = if m1 then 1.0 -. l else l in
+      let n0 = Float.to_int (l' *. 512.0) in
+      let n = if n0 > 255 then 255 else n0 in
+      let sbit = if (k = 1) <> m1 then 1 lsl 9 else 0 in
+      if n = 0 && l' < 0x1p-10 then begin
+        Array.unsafe_set s 0 l';
+        sbit
+      end
+      else begin
+        let c = Float.to_int (Float.ceil (l' *. 512.0)) in
+        let c = if float_of_int c /. 512.0 = l' then c + 1 else c in
+        let n' = if c > 256 then 256 else c in
+        Array.unsafe_set s 0 ((float_of_int n' /. 512.0) -. l');
+        n' lor sbit
+      end
+  | Sinh _ | Cosh _ ->
+      (* |x| = N/64 + R, R in [0, 1/64), exact; input sign in bit 13. *)
+      let z = Float.abs x in
+      let n = Float.to_int (z *. 64.0) in
+      Array.unsafe_set s 0 (z -. (float_of_int n /. 64.0));
+      n lor ((if x < 0.0 then 1 else 0) lsl 13)
+
+(** [pow2 q] is 2^q: exact bit assembly for q in [-1022, 1023] (every
+    in-domain input), ldexp beyond. *)
+let[@inline] pow2 q =
+  if q >= -1022 && q <= 1023 then
+    Int64.float_of_bits (Int64.shift_left (Int64.of_int (q + 1023)) 52)
+  else Float.ldexp 1.0 q
+
+(** [compensate f s aux] writes OC(v0 = s.(1), v1 = s.(2)) for the key
+    [aux] that {!reduce} returned into s.(3).  Components are ordered
+    [sinpi_r; cospi_r] for sinpi/cospi and [sinh_r; cosh_r] for
+    sinh/cosh. *)
+let[@inline] compensate (f : family) (s : float array) aux =
+  match f with
+  | Log f ->
+      (* e*escale + tbl[j] + log1p(r); escale = ln(2), 1, or log10(2) —
+         multiplying the exact integer e by 1.0 is exact. *)
+      let j = aux land 0xFF in
+      let e = (aux lsr 8) - 2048 in
+      Array.unsafe_set s 3
+        ((float_of_int e *. f.escale) +. Array.unsafe_get f.f_tbl j +. Array.unsafe_get s 1)
+  | Exp f ->
+      (* 2^q * (T2[j] * b^r), minus one for expm1 (exact by Sterbenz when
+         the scaled value lands in [1/2, 2], absorbed by Algorithm 2
+         elsewhere). *)
+      let j = aux land 0xFF in
+      (* 2^q first: keeps t2[j]*v0 out of a register live across the
+         ldexp call (a spill on the hot path). *)
+      let pw = pow2 ((aux lsr 8) - 2048) in
+      let y = pw *. (Array.unsafe_get f.t2 j *. Array.unsafe_get s 1) in
+      Array.unsafe_set s 3 (if f.minus_one then y -. 1.0 else y)
+  | Tanh f ->
+      (* tanh(|x|) = (W - 1)/(W + 1) with W = e^(2|x|): increasing in W. *)
+      let j = aux land 0xFF in
+      let sgn = if aux land (1 lsl 22) <> 0 then -1.0 else 1.0 in
+      let pw = pow2 (((aux land 0x3F_FFFF) lsr 8) - 2048) in
+      let w = pw *. (Array.unsafe_get f.t2 j *. Array.unsafe_get s 1) in
+      Array.unsafe_set s 3 (sgn *. ((w -. 1.0) /. (w +. 1.0)))
+  | Sinpi f ->
+      (* S * (spn[N]*cospi(R) + cpn[N]*sinpi(R)) *)
+      let n = aux land 0x1FF in
+      let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in
+      Array.unsafe_set s 3
+        (sgn
+        *. ((Array.unsafe_get f.spn n *. Array.unsafe_get s 2)
+           +. (Array.unsafe_get f.cpn n *. Array.unsafe_get s 1)))
+  | Cospi f ->
+      (* S * (cpn[N']*cospi(R) + spn[N']*sinpi(R)), or S * cospi(R) for
+         N' = 0. *)
+      let n' = aux land 0x1FF in
+      let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in
+      if n' = 0 then Array.unsafe_set s 3 (sgn *. Array.unsafe_get s 2)
+      else
+        Array.unsafe_set s 3
+          (sgn
+          *. ((Array.unsafe_get f.cpn n' *. Array.unsafe_get s 2)
+             +. (Array.unsafe_get f.spn n' *. Array.unsafe_get s 1)))
+  | Sinh f ->
+      (* sinh(|x|) = sh[N]*cosh(R) + ch[N]*sinh(R), signed *)
+      let n = aux land 0x1FFF in
+      let sgn = if aux land (1 lsl 13) <> 0 then -1.0 else 1.0 in
+      Array.unsafe_set s 3
+        (sgn
+        *. ((Array.unsafe_get f.sh n *. Array.unsafe_get s 2)
+           +. (Array.unsafe_get f.ch n *. Array.unsafe_get s 1)))
+  | Cosh f ->
+      (* cosh(|x|) = ch[N]*cosh(R) + sh[N]*sinh(R) *)
+      let n = aux land 0x1FFF in
+      Array.unsafe_set s 3
+        ((Array.unsafe_get f.ch n *. Array.unsafe_get s 2)
+        +. (Array.unsafe_get f.sh n *. Array.unsafe_get s 1))
+
+(* ------------------------------------------------------------------ *)
 (* Stage 1: decode, special probe, range reduction.                    *)
 (* Returns the packed compensation key (>= 0 for every in-domain        *)
 (* input) or -1 when the input belongs to the scalar fallback.  The     *)
@@ -296,88 +471,10 @@ let stage1 (p : plan) (s : float array) pat =
       | Chk_log1p c -> x <= -1.0 || Float.abs x <= c.snap
     in
     if special then -1
-    else
-      match p.family with
-      | Log f ->
-          (* Reductions.log_reduce with Float.frexp inlined on the raw
-             bits: every value reaching here is a positive normal
-             double (the smallest target subnormal is ~2^-151, and the
-             log1p sum 1+x is >= one target ulp below 1), so the
-             rescaled significand is the mantissa field under exponent
-             1023 and e = biased_exponent - 1023. *)
-          let z = if f.add_one then 1.0 +. x else x in
-          let zb = Int64.bits_of_float z in
-          let zh = Int64.to_int (Int64.shift_right_logical zb 32) in
-          let be = zh lsr 20 in
-          let j = (zh lsr 13) land 0x7F in
-          let m2 =
-            Int64.float_of_bits
-              (Int64.logor 0x3FF0_0000_0000_0000L (Int64.logand zb 0xF_FFFF_FFFF_FFFFL))
-          in
-          let fj = 1.0 +. (float_of_int j /. 128.0) in
-          s.(0) <- (m2 -. fj) /. fj;
-          j lor ((be - 1023 + 2048) lsl 8)
-      | Exp f ->
-          (* Reductions.exp_reduce: k = round(x * 64/log_b 2), Cody-
-             Waite subtraction in the same order. *)
-          let k = Float.to_int (Float.round (x *. f.inv_c)) in
-          let fk = float_of_int k in
-          s.(0) <- x -. (fk *. f.cw_hi) -. (fk *. f.cw_lo);
-          (k land 63) lor (((k asr 6) + 2048) lsl 8)
-      | Tanh f ->
-          (* Reductions.tanh_reduce: exp reduction on t = 2|x| (exact
-             doubling), input sign in bit 22. *)
-          let t = 2.0 *. Float.abs x in
-          let k = Float.to_int (Float.round (t *. f.inv_c)) in
-          let fk = float_of_int k in
-          s.(0) <- t -. (fk *. f.cw_hi) -. (fk *. f.cw_lo);
-          (k land 63)
-          lor (((k asr 6) + 2048) lsl 8)
-          lor ((if x < 0.0 then 1 else 0) lsl 22)
-      | Sinpi _ ->
-          (* Reductions.sinpi_reduce (x = 0 is snapped by the probe, so
-             the signed-zero test collapses to x < 0). *)
-          let z = Float.abs x in
-          let jj = z -. (2.0 *. Float.of_int (Float.to_int (z /. 2.0))) in
-          let jj = if jj < 0.0 then jj +. 2.0 else jj in
-          let k = if jj >= 1.0 then 1 else 0 in
-          let l = jj -. float_of_int k in
-          let l' = if l > 0.5 then 1.0 -. l else l in
-          let n0 = Float.to_int (l' *. 512.0) in
-          let n = if n0 > 255 then 255 else n0 in
-          s.(0) <- l' -. (float_of_int n /. 512.0);
-          let sneg = x < 0.0 <> (k = 1) in
-          n lor ((if sneg then 1 else 0) lsl 9)
-      | Cospi _ ->
-          (* Reductions.cospi_reduce (§5's non-negative-table redesign). *)
-          let z = Float.abs x in
-          let jj = z -. (2.0 *. Float.of_int (Float.to_int (z /. 2.0))) in
-          let jj = if jj < 0.0 then jj +. 2.0 else jj in
-          let k = if jj >= 1.0 then 1 else 0 in
-          let l = jj -. float_of_int k in
-          let m1 = l > 0.5 in
-          let l' = if m1 then 1.0 -. l else l in
-          let n0 = Float.to_int (l' *. 512.0) in
-          let n = if n0 > 255 then 255 else n0 in
-          if n = 0 && l' < 0x1p-10 then begin
-            s.(0) <- l';
-            let sneg = (k = 1) <> m1 in
-            (if sneg then 1 lsl 9 else 0)
-          end
-          else begin
-            let c = Float.to_int (Float.ceil (l' *. 512.0)) in
-            let c = if float_of_int c /. 512.0 = l' then c + 1 else c in
-            let n' = if c > 256 then 256 else c in
-            s.(0) <- (float_of_int n' /. 512.0) -. l';
-            let sneg = (k = 1) <> m1 in
-            n' lor ((if sneg then 1 else 0) lsl 9)
-          end
-      | Sinh _ | Cosh _ ->
-          (* Reductions.sinhcosh_reduce: |x| = N/64 + R, exact. *)
-          let z = Float.abs x in
-          let n = Float.to_int (z *. 64.0) in
-          s.(0) <- z -. (float_of_int n /. 64.0);
-          n lor ((if x < 0.0 then 1 else 0) lsl 13)
+    else begin
+      Array.unsafe_set s 0 x;
+      reduce p.family s
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -434,68 +531,11 @@ let eval_piece (pc : piece) (s : float array) dst =
       Array.unsafe_set s dst v
 
 (* ------------------------------------------------------------------ *)
-(* Stage 3: output compensation (expression order identical to          *)
-(* Funcs.Reductions' OC functions) and the final rounding.              *)
+(* Stage 3: output compensation and the final rounding.                 *)
 (* ------------------------------------------------------------------ *)
 
 let compose (p : plan) (s : float array) aux =
-  (match p.family with
-  | Log f ->
-      let j = aux land 0xFF in
-      let e = (aux lsr 8) - 2048 in
-      Array.unsafe_set s 3
-        ((float_of_int e *. f.escale) +. Array.unsafe_get f.f_tbl j +. Array.unsafe_get s 1)
-  | Exp f ->
-      let j = aux land 0xFF in
-      let q = (aux lsr 8) - 2048 in
-      (* Tables.pow2 inlined: exact bit assembly for the in-range
-         exponents (every in-domain input), ldexp beyond. *)
-      let pw =
-        if q >= -1022 && q <= 1023 then
-          Int64.float_of_bits (Int64.shift_left (Int64.of_int (q + 1023)) 52)
-        else Float.ldexp 1.0 q
-      in
-      let y = pw *. (Array.unsafe_get f.t2 j *. Array.unsafe_get s 1) in
-      Array.unsafe_set s 3 (if f.minus_one then y -. 1.0 else y)
-  | Tanh f ->
-      let j = aux land 0xFF in
-      let q = ((aux land 0x3F_FFFF) lsr 8) - 2048 in
-      let sgn = if aux land (1 lsl 22) <> 0 then -1.0 else 1.0 in
-      let pw =
-        if q >= -1022 && q <= 1023 then
-          Int64.float_of_bits (Int64.shift_left (Int64.of_int (q + 1023)) 52)
-        else Float.ldexp 1.0 q
-      in
-      let w = pw *. (Array.unsafe_get f.t2 j *. Array.unsafe_get s 1) in
-      Array.unsafe_set s 3 (sgn *. ((w -. 1.0) /. (w +. 1.0)))
-  | Sinpi f ->
-      let n = aux land 0x1FF in
-      let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in
-      Array.unsafe_set s 3
-        (sgn
-        *. ((Array.unsafe_get f.spn n *. Array.unsafe_get s 2)
-           +. (Array.unsafe_get f.cpn n *. Array.unsafe_get s 1)))
-  | Cospi f ->
-      let n' = aux land 0x1FF in
-      let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in
-      if n' = 0 then Array.unsafe_set s 3 (sgn *. Array.unsafe_get s 2)
-      else
-        Array.unsafe_set s 3
-          (sgn
-          *. ((Array.unsafe_get f.cpn n' *. Array.unsafe_get s 2)
-             +. (Array.unsafe_get f.spn n' *. Array.unsafe_get s 1)))
-  | Sinh f ->
-      let n = aux land 0x1FFF in
-      let sgn = if aux land (1 lsl 13) <> 0 then -1.0 else 1.0 in
-      Array.unsafe_set s 3
-        (sgn
-        *. ((Array.unsafe_get f.sh n *. Array.unsafe_get s 2)
-           +. (Array.unsafe_get f.ch n *. Array.unsafe_get s 1)))
-  | Cosh f ->
-      let n = aux land 0x1FFF in
-      Array.unsafe_set s 3
-        ((Array.unsafe_get f.ch n *. Array.unsafe_get s 2)
-        +. (Array.unsafe_get f.sh n *. Array.unsafe_get s 1)));
+  compensate p.family s aux;
   if p.hw_rne then
     (* One hardware cast replaces the whole integer rounding: identical
        on the finite y the fast path produces (see the field's note). *)
@@ -747,22 +787,22 @@ let clone_tcert (tc : tcert) = { tc with t_coeffs = Array.copy tc.t_coeffs }
 let clone_tpiece (tp : tpiece) =
   { tp with tneg = clone_tcert tp.tneg; tpos = clone_tcert tp.tpos }
 
+(** Deep-copy a family's compensation tables. *)
+let clone_family = function
+  | Log f -> Log { f with f_tbl = Array.copy f.f_tbl }
+  | Exp f -> Exp { f with t2 = Array.copy f.t2 }
+  | Tanh f -> Tanh { f with t2 = Array.copy f.t2 }
+  | Sinpi f -> Sinpi { spn = Array.copy f.spn; cpn = Array.copy f.cpn }
+  | Cospi f -> Cospi { spn = Array.copy f.spn; cpn = Array.copy f.cpn }
+  | Sinh f -> Sinh { sh = Array.copy f.sh; ch = Array.copy f.ch }
+  | Cosh f -> Cosh { sh = Array.copy f.sh; ch = Array.copy f.ch }
+
 (** Deep-copy every flat table of a plan, so each worker domain can own
     a private replica (no shared cache lines on the hot loop). *)
 let clone (p : plan) =
-  let family =
-    match p.family with
-    | Log f -> Log { f with f_tbl = Array.copy f.f_tbl }
-    | Exp f -> Exp { f with t2 = Array.copy f.t2 }
-    | Tanh f -> Tanh { f with t2 = Array.copy f.t2 }
-    | Sinpi f -> Sinpi { spn = Array.copy f.spn; cpn = Array.copy f.cpn }
-    | Cospi f -> Cospi { spn = Array.copy f.spn; cpn = Array.copy f.cpn }
-    | Sinh f -> Sinh { sh = Array.copy f.sh; ch = Array.copy f.ch }
-    | Cosh f -> Cosh { sh = Array.copy f.sh; ch = Array.copy f.ch }
-  in
   {
     p with
-    family;
+    family = clone_family p.family;
     pieces = Array.map clone_piece p.pieces;
     tier = Option.map (Array.map clone_tpiece) p.tier;
   }

@@ -233,6 +233,43 @@ let test_reduced_box_property () =
     end
   done
 
+(* Environment overrides through a fake lookup: valid values apply,
+   unset or blank ones keep the defaults, garbage and negatives are
+   refused with the variable and value in the message. *)
+let test_config_env () =
+  let cfg env = Rlibm.Config.of_env (fun k -> List.assoc_opt k env) in
+  let d = cfg [] in
+  Alcotest.(check int) "unset par_min" (1 lsl 14) d.batch_par_min;
+  Alcotest.(check bool) "unset flags off" false (d.lp_warm || d.progressive);
+  Alcotest.(check (option string)) "unset cache dir" None d.oracle_cache_dir;
+  let v = cfg [ ("RLIBM_BATCH_PAR_MIN", " 256 "); ("RLIBM_LP_WARM", "1"); ("RLIBM_PROG", "true");
+                ("RLIBM_ORACLE_CACHE", "/tmp/oc") ] in
+  Alcotest.(check int) "valid par_min" 256 v.batch_par_min;
+  Alcotest.(check int) "zero par_min" 0 (cfg [ ("RLIBM_BATCH_PAR_MIN", "0") ]).batch_par_min;
+  Alcotest.(check bool) "valid flags on" true (v.lp_warm && v.progressive);
+  Alcotest.(check bool) "explicit off" false (cfg [ ("RLIBM_PROG", "0") ]).progressive;
+  Alcotest.(check (option string)) "cache dir" (Some "/tmp/oc") v.oracle_cache_dir;
+  let e = cfg [ ("RLIBM_BATCH_PAR_MIN", ""); ("RLIBM_LP_WARM", " "); ("RLIBM_ORACLE_CACHE", "") ] in
+  Alcotest.(check int) "empty par_min" (1 lsl 14) e.batch_par_min;
+  Alcotest.(check bool) "empty flag off" false e.lp_warm;
+  Alcotest.(check (option string)) "empty cache dir" None e.oracle_cache_dir;
+  let refused var value =
+    match cfg [ (var, value) ] with
+    | _ -> Alcotest.failf "%s=%S accepted" var value
+    | exception Invalid_argument msg ->
+        let names s =
+          let n = String.length s in
+          let rec go i = i + n <= String.length msg && (String.sub msg i n = s || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) (Printf.sprintf "%S names %s and %S" msg var value) true
+          (names var && names value)
+  in
+  refused "RLIBM_BATCH_PAR_MIN" "lots";
+  refused "RLIBM_BATCH_PAR_MIN" "-5";
+  refused "RLIBM_LP_WARM" "yes please";
+  refused "RLIBM_PROG" "2"
+
 let () =
   Alcotest.run "core"
     [
@@ -262,4 +299,5 @@ let () =
         ] );
       ("enumerate", [ Alcotest.test_case "enumerations" `Quick test_enumerate ]);
       ("reduced", [ Alcotest.test_case "box property" `Quick test_reduced_box_property ]);
+      ("config", [ Alcotest.test_case "environment overrides" `Quick test_config_env ]);
     ]

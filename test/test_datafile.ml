@@ -2,7 +2,8 @@
    refusal of truncated/corrupted/future files, the paranoid merge
    rejection matrix, diff polarity, the legacy BENCH_<rev>.json lift
    over every committed baseline, and the 2-shard-vs-1-shard campaign
-   byte-identity the schema exists to guarantee. *)
+   byte-identity the schema exists to guarantee.  The CI bench gate
+   built on the diff is tested in test_gate.ml. *)
 
 module D = Datafile
 

@@ -100,6 +100,8 @@ let derived_tier (base : Funcs.Specs.target) =
           Fp.Rounding_mode.standard)
       [ "log2"; "exp" ] )
 
+let fingerprint t name () = Rlibm.Generator.tables_fingerprint (Funcs.Libm.get t name)
+
 let () =
   if exhaustive then print_endline "RLIBM_EXHAUSTIVE=1: checking all 65536 inputs per target";
   Alcotest.run "exhaustive16"
@@ -108,4 +110,11 @@ let () =
       tier Funcs.Specs.float16;
       derived_tier Funcs.Specs.bfloat16;
       derived_tier Funcs.Specs.float16;
+      pinned_suite "pinned"
+        [
+          ("bfloat16 log2", "fnv1a:1df4a58e8a47f4d2", fingerprint Funcs.Specs.bfloat16 "log2");
+          ("bfloat16 exp", "fnv1a:3a0196e2900527da", fingerprint Funcs.Specs.bfloat16 "exp");
+          ("float16 log2", "fnv1a:32694e969db90804", fingerprint Funcs.Specs.float16 "log2");
+          ("float16 exp", "fnv1a:37d1b51709575bf5", fingerprint Funcs.Specs.float16 "exp");
+        ];
     ]

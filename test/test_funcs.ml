@@ -3,7 +3,6 @@
 
 module Q = Rational
 module E = Oracle.Elementary
-module R = Funcs.Reductions
 module S = Funcs.Specs
 open Test_util
 
@@ -30,7 +29,7 @@ let test_constants () =
 
 let test_pow2 () =
   for q = -300 to 300 do
-    Alcotest.(check (float 0.0)) "pow2" (Float.ldexp 1.0 q) (Funcs.Tables.pow2 q)
+    Alcotest.(check (float 0.0)) "pow2" (Float.ldexp 1.0 q) (Serve.Kernel.pow2 q)
   done
 
 let test_table_spot_values () =
@@ -44,16 +43,20 @@ let test_table_spot_values () =
   Alcotest.(check (float 0.0)) "cospi(256/512)" 0.0 (Parallel.Once.get Funcs.Tables.cospi_n).(256)
 
 (* ------------------------------------------------------------------ *)
-(* Reduction exactness and reconstruction properties.                  *)
+(* Reduction exactness and reconstruction properties, through the      *)
+(* spec closures the kernel descriptor derives (the one definition of  *)
+(* the flat families' arithmetic).                                     *)
 (* ------------------------------------------------------------------ *)
+
+let reduce name = (S.by_name name S.float32).reduce
 
 (* log: x = 2^e * F * (1+r) must reconstruct x exactly in rationals up
    to the single rounding in r = f/F. *)
 let prop_log_reduce =
   QCheck.Test.make ~name:"log reduction reconstructs x" ~count:4000 QCheck.unit (fun () ->
       let x = Float.ldexp (1.0 +. Random.State.float st 1.0) (Random.State.int st 250 - 125) in
-      let red = R.log_reduce x in
-      let j, e = R.log_key red.key in
+      let red = reduce "ln" x in
+      let j = red.key land 0xFF and e = (red.key lsr 8) - 2048 in
       let f = Q.add Q.one (Q.of_ints j 128) in
       (* (x / 2^e / F) - 1 vs r: equal within one double rounding. *)
       let true_r = Q.sub (Q.div (Q.mul_pow2 (Q.of_float x) (-e)) f) Q.one in
@@ -67,8 +70,8 @@ let prop_log_reduce =
 let prop_exp2_reduce_exact =
   QCheck.Test.make ~name:"exp2 reduction is exact" ~count:4000 QCheck.unit (fun () ->
       let x32 = Int32.float_of_bits (Int32.bits_of_float (random_double ~max_exp:8 st)) in
-      let red = R.exp2_reduce x32 in
-      let j, q = Funcs.Reductions.exp_key red.key in
+      let red = reduce "exp2" x32 in
+      let j = red.key land 0xFF and q = (red.key lsr 8) - 2048 in
       let k = (q * 64) + j in
       Q.equal (Q.of_float red.r) (Q.sub (Q.of_float x32) (Q.of_ints k 64))
       && Float.abs red.r <= 0.0078125)
@@ -81,7 +84,7 @@ let prop_sinpi_reduce_identity =
       let x = Int32.float_of_bits (Int32.bits_of_float x) in
       if Float.abs x >= Float.ldexp 1.0 23 then true
       else begin
-        let red = R.sinpi_reduce x in
+        let red = reduce "sinpi" x in
         let n = red.key land 0x1FF in
         let s = if red.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
         (* Exact: x's sinpi equals s * sinpi(n/512 + r). *)
@@ -98,7 +101,7 @@ let prop_cospi_reduce_identity =
       let x = Int32.float_of_bits (Int32.bits_of_float x) in
       if Float.abs x >= Float.ldexp 1.0 23 then true
       else begin
-        let red = R.cospi_reduce x in
+        let red = reduce "cospi" x in
         let n' = red.key land 0x1FF in
         let s = if red.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
         let lhs = E.to_double E.cospi (Q.of_float x) in
@@ -116,7 +119,7 @@ let prop_sinhcosh_reduce_exact =
       let x = Int32.float_of_bits (Int32.bits_of_float x) in
       if Float.abs x >= 89.5 then true
       else begin
-        let red = R.sinhcosh_reduce x in
+        let red = reduce "sinh" x in
         let n = red.key land 0x1FFF in
         Q.equal (Q.of_float red.r) (Q.sub (Q.of_float (Float.abs x)) (Q.of_ints n 64))
         && red.r >= 0.0 && red.r < 1.0 /. 64.0
@@ -214,6 +217,8 @@ let exhaustive_correct target name () =
   done;
   Alcotest.(check int) (name ^ " misrounds") 0 !bad
 
+let fingerprint t name () = Rlibm.Generator.tables_fingerprint (Funcs.Libm.get t name)
+
 let () =
   Alcotest.run "funcs"
     [
@@ -251,4 +256,14 @@ let () =
           Alcotest.test_case "bfloat16 expm1" `Slow (exhaustive_correct S.bfloat16 "expm1");
           Alcotest.test_case "float16 log1p" `Slow (exhaustive_correct S.float16 "log1p");
         ] );
+      pinned_suite "pinned"
+        [
+          ("bfloat16 exp2", "fnv1a:15b3f1a67719a70f", fingerprint S.bfloat16 "exp2");
+          ("bfloat16 log2", "fnv1a:1df4a58e8a47f4d2", fingerprint S.bfloat16 "log2");
+          ("bfloat16 sinpi", "fnv1a:34bb7ed96194fb56", fingerprint S.bfloat16 "sinpi");
+          ("bfloat16 tanh", "fnv1a:22dea0a5c6e31580", fingerprint S.bfloat16 "tanh");
+          ("bfloat16 expm1", "fnv1a:2945010521de3778", fingerprint S.bfloat16 "expm1");
+          ("float16 exp", "fnv1a:37d1b51709575bf5", fingerprint S.float16 "exp");
+          ("float16 log1p", "fnv1a:156348b64a5aff37", fingerprint S.float16 "log1p");
+        ];
     ]

@@ -159,4 +159,10 @@ let () =
           Alcotest.test_case "compiled closure reentrant across domains" `Slow
             test_compile_reentrant;
         ] );
+      pinned_suite "pinned"
+        [
+          ( "bfloat16 log2 quick",
+            "fnv1a:1df4a58e8a47f4d2",
+            fun () -> Rlibm.Generator.tables_fingerprint (gen ()) );
+        ];
     ]

@@ -445,6 +445,34 @@ let test_tier_shape () =
   let p0 = Option.get (Funcs.Kernels.of_generated g0) in
   Alcotest.(check bool) "classic generation has no tier" true (p0.K.tier = None)
 
+(* The tables the suites above serve, pinned (see Test_util.pinned_suite). *)
+let pinned_fingerprints =
+  let fp ?quality ?cfg t name () = G.tables_fingerprint (Funcs.Libm.get ?quality ?cfg t name) in
+  let modes (base : S.target) name ~cfg pins =
+    List.map2
+      (fun mode want ->
+        let t = if mode = Fp.Rounding_mode.Rne then base else S.with_mode base mode in
+        ( Printf.sprintf "%s%s %s @%s" (if cfg = None then "" else "prog ") base.tname name
+            (Fp.Rounding_mode.to_string mode),
+          want,
+          fp ?cfg t name ))
+      Fp.Rounding_mode.standard pins
+  in
+  let same v = List.init 5 (fun _ -> v) in
+  modes S.bfloat16 "log2" ~cfg:None (same "fnv1a:1df4a58e8a47f4d2")
+  @ modes S.bfloat16 "log2" ~cfg:(Some prog_cfg) (same "fnv1a:10cefd2c1d7480a0")
+  @ modes S.float16 "exp" ~cfg:None
+      [ "fnv1a:37d1b51709575bf5"; "fnv1a:37d1b51709575bf5"; "fnv1a:2a3034ec890a7849";
+        "fnv1a:1d6848e11a6f4a19"; "fnv1a:1d6848e11a6f4a19" ]
+  @ modes S.float16 "exp" ~cfg:(Some prog_cfg)
+      [ "fnv1a:229b239ecec3e76f"; "fnv1a:19c5b4a8279640d6"; "fnv1a:0868fd6104809a63";
+        "fnv1a:0d1c327a0e9553b4"; "fnv1a:0d1c327a0e9553b4" ]
+  @ [
+      ("posit16 exp draft", "fnv1a:23eb72783cdc2370", fp ~quality:Funcs.Libm.Draft S.posit16 "exp");
+      ("float32 log2 quick", "fnv1a:0ae8cf217deccece", fp ~quality:Funcs.Libm.Quick S.float32 "log2");
+      ("bfloat16 exp", "fnv1a:3a0196e2900527da", fp S.bfloat16 "exp");
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -475,4 +503,5 @@ let () =
           Alcotest.test_case "zero alloc (tiered)" `Quick test_tier_zero_alloc;
           Alcotest.test_case "tier shape invariants" `Quick test_tier_shape;
         ] );
+      Test_util.pinned_suite "pinned" pinned_fingerprints;
     ]

@@ -80,3 +80,18 @@ let bigint = Alcotest.testable B.pp B.equal
 let rational = Alcotest.testable Q.pp Q.equal
 
 let qsuite name cases = (name, List.map QCheck_alcotest.to_alcotest cases)
+
+(* Byte-identity guard over generated tables: one case per (label,
+   pinned Rlibm.Generator.tables_fingerprint, thunk computing the current
+   one).  The pins were recorded from the generator before the flat
+   families' reduction and compensation moved into Serve.Kernel; any
+   drift in reduction, compensation or fitting fails here instead of
+   waiting for a manual `generate dump` diff.  The thunks fetch tables
+   the suite generates anyway (Funcs.Libm caches per process). *)
+let pinned_suite name cases =
+  ( name,
+    List.map
+      (fun (label, want, got) ->
+        Alcotest.test_case label `Slow (fun () ->
+            Alcotest.(check string) (label ^ ": tables fingerprint") want (got ())))
+      cases )
