@@ -6,14 +6,13 @@
 #                     input of the differential suite — including all five
 #                     standard rounding modes derived from the float34
 #                     round-to-odd table — RLIBM_EXHAUSTIVE=1)
-#   make bench-json   exact-arithmetic + generator benches, results
-#                     written to BENCH_<rev>.json (schema-v1 datafile)
-#   make bench-diff   markdown diff of two run datafiles:
-#                     make bench-diff BASE=BENCH_old.json CURR=BENCH_new.json
+#   make bench        print the paper's Figures 3-5 and the ablations
+#                     (bench/main.ml; ungated — the benchmark CI compares
+#                     is bench/suite, see BENCHMARK.json)
 #
 # RLIBM_JOBS=<n> controls worker domains for the sharded passes.
 
-.PHONY: all build check-fast check-full bench bench-json bench-diff clean
+.PHONY: all build check-fast check-full bench clean
 
 all: build
 
@@ -28,12 +27,6 @@ check-full: check-fast
 
 bench: build
 	dune exec bench/main.exe
-
-bench-json: build
-	dune exec bench/main.exe -- --json bigint rational lp gen round sweep campaign serve
-
-bench-diff: build
-	dune exec bin/report.exe -- datafile-diff $(BASE) $(CURR)
 
 clean:
 	dune clean

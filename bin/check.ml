@@ -275,8 +275,8 @@ let write_report path ~identity (o : Sweep.Engine.outcome) =
   Sys.rename tmp path
 
 (* This machine's context for run datafiles: comparisons across
-   different jobs/cpus/ocaml are noise, and Datafile.host_mismatch
-   wants the facts recorded at run time. *)
+   different jobs/cpus/ocaml are noise, so the facts are recorded at
+   run time. *)
 let datafile_host () =
   Some
     {
@@ -336,12 +336,9 @@ let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir
   (* The oracle cache outlives the sweep directory on purpose: repeated
      sweeps, hard-case hunts and cached generations all share it. *)
   let cache_dir =
-    match cache_dir with
-    | Some d -> d
-    | None -> (
-        match Sys.getenv_opt "RLIBM_ORACLE_CACHE" with
-        | Some d when String.trim d <> "" -> String.trim d
-        | _ -> Filename.concat dir "cache")
+    match (cache_dir, Rlibm.Config.default.oracle_cache_dir) with
+    | Some d, _ | None, Some d -> d
+    | None, None -> Filename.concat dir "cache"
   in
   let cache = Sweep.Oracle_cache.open_ ~dir:cache_dir ~repr:T.name ~func:fname ~mode:mode_s in
   let policy = resolve_policy verifier g in
@@ -374,9 +371,9 @@ let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir
       let report = Filename.concat dir "report.txt" in
       write_report report ~identity o;
       (* The run as a datafile: verdicts + timings + machine context in
-         the one schema the gate and `report datafile-diff` consume.
-         report.txt stays the canonical byte-identity artifact; the
-         datafile deliberately carries what that report omits. *)
+         the one schema every run result uses.  report.txt stays the
+         canonical byte-identity artifact; the datafile deliberately
+         carries what that report omits. *)
       let datafile = Filename.concat dir "datafile.json" in
       Datafile.write ~path:datafile
         {

@@ -61,9 +61,7 @@ let run jobs tname fname per_stratum top cache_dir =
   let module T = (val target.repr) in
   let spec = Funcs.Specs.by_name fname target in
   let cache_dir =
-    match cache_dir with
-    | Some _ -> cache_dir
-    | None -> Sys.getenv_opt "RLIBM_ORACLE_CACHE"
+    match cache_dir with Some _ -> cache_dir | None -> Rlibm.Config.default.oracle_cache_dir
   in
   let cache =
     Option.map

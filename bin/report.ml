@@ -78,58 +78,7 @@ let table3 (t : Funcs.Specs.target) quality names =
             s.per_component)
     names
 
-(* `report datafile-diff BASE CURR`: render the Datafile.diff of two run
-   datafiles (schema-v1 or legacy BENCH_*.json) as the markdown table
-   reviewers paste into a PR.  Pure renderer — the pass/fail exit code
-   belongs to bin/bench_gate; here the verdict is only embedded in the
-   table so the prose survives copy-paste. *)
-let datafile_diff args =
-  let threshold = ref 0.25 in
-  let out = ref None in
-  let positional = ref [] in
-  let usage () =
-    prerr_endline "usage: report datafile-diff BASELINE CURRENT [--threshold T] [--out FILE]";
-    exit 2
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--threshold" :: v :: rest ->
-        (match float_of_string_opt v with Some t -> threshold := t | None -> usage ());
-        parse rest
-    | "--out" :: file :: rest ->
-        out := Some file;
-        parse rest
-    | ("--threshold" | "--out") :: [] -> usage ()
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' -> usage ()
-    | arg :: rest ->
-        positional := arg :: !positional;
-        parse rest
-  in
-  parse args;
-  let base_path, curr_path =
-    match List.rev !positional with [ b; c ] -> (b, c) | _ -> usage ()
-  in
-  let load path =
-    match Datafile.read ~path with
-    | Ok t -> t
-    | Error msg ->
-        Printf.eprintf "report: %s\n" msg;
-        exit 2
-  in
-  let md = Datafile.markdown_diff ~threshold:!threshold (load base_path) (load curr_path) in
-  match !out with
-  | None -> print_string md
-  | Some file ->
-      let oc = open_out file in
-      output_string oc md;
-      close_out oc;
-      Printf.printf "wrote %s\n" file
-
 let () =
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "datafile-diff" then begin
-    datafile_diff (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)));
-    exit 0
-  end;
   (* The report goes to stdout; [--out FILE] redirects it to an explicit
      artifact path instead.  Nothing is ever dropped implicitly in the
      working tree. *)
@@ -140,7 +89,7 @@ let () =
       Unix.dup2 fd Unix.stdout;
       Unix.close fd
   | _ ->
-      prerr_endline "usage: report [--out FILE] | report datafile-diff BASELINE CURRENT";
+      prerr_endline "usage: report [--out FILE]";
       exit 2);
   print_endline "### Table 1 analog: float32 correctness (Quick generation; columns are";
   print_endline "### wrong-result counts on the generation enumeration / a fresh sample)";

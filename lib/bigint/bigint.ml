@@ -217,9 +217,9 @@ let school_into dst off a ao la b bo lb =
 
 (* Below this many limbs of the smaller operand, schoolbook wins: the
    recursion's extra adds/subs cost more than the saved limb products.
-   Tuned on the BIGINT bench (bench/main.ml): 16/24/32/48 were within
-   noise of each other at the crossover, 24 was fastest at 64-256
-   limbs. *)
+   Tuned by timing multiplication at each candidate: 16/24/32/48 were
+   within noise of each other at the crossover, 24 was fastest at
+   64-256 limbs. *)
 let kara_threshold = 24
 
 (* Per-domain grow-only scratch for Karatsuba temporaries.  Safe because

@@ -1,6 +1,7 @@
-(* Versioned run datafiles — the one artifact schema shared by bench,
-   sweep, campaign, serve and generate, with read/write/merge/diff as
-   first-class operations (the Herbie datafile discipline).
+(* Versioned run datafiles — the one artifact schema shared by the
+   benchmark suite, sweep, campaign, serve and generate, with read,
+   write and merge as first-class operations (the Herbie datafile
+   discipline).
 
    The on-disk form is JSON, machine-written with a fixed layout so the
    hand-rolled reader below suffices (this repo deliberately has no JSON
@@ -19,11 +20,10 @@
    would be a false certification (same stance as Campaign.Report,
    whose merge is built on [merge_rows]).
 
-   [diff] carries the bench-gate comparison semantics (bin/bench_gate):
-   per-metric worseness ratios with direction
-   inferred from the metric name, degenerate baselines mapped to
-   infinite ratios, and a gated metric missing from the current run
-   treated as a failure rather than a skip. *)
+   Only schema-v1 documents are read; anything without a
+   "schema_version" field is refused as not a schema-v1 datafile.
+   Comparing runs is the benchmark suite's job (bench/suite compare),
+   not this module's. *)
 
 let schema_version = 1
 
@@ -180,8 +180,6 @@ let write ~path (t : t) =
 (* Generic JSON reader (machine-written subset: objects, arrays,       *)
 (* strings with short escapes, numbers, true/false/null).              *)
 (* ------------------------------------------------------------------ *)
-
-exception Parse_error of string
 
 module Json = struct
   type v =
@@ -357,183 +355,8 @@ module Json = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Legacy BENCH_<rev>.json reader (the pre-schema flat metric map).    *)
-(* Committed baselines must stay readable forever.                     *)
-(* ------------------------------------------------------------------ *)
-
-let family key = match String.index_opt key '.' with Some i -> String.sub key 0 i | None -> key
-
-let rows_of_metrics ~kind metrics =
-  let groups = ref [] in
-  (* first-appearance order of families, metrics kept in file order *)
-  List.iter
-    (fun (k, v) ->
-      let fam = family k in
-      match List.assoc_opt fam !groups with
-      | Some cell -> cell := (k, v) :: !cell
-      | None -> groups := !groups @ [ (fam, ref [ (k, v) ]) ])
-    metrics;
-  List.map
-    (fun (fam, cell) ->
-      {
-        kind;
-        func = fam;
-        repr = "";
-        mode = "";
-        identity = "";
-        tables_hash = "";
-        span = None;
-        metrics = List.rev !cell;
-        mismatches = [||];
-        quarantined = [||];
-      })
-    !groups
-
-module Legacy = struct
-  let parse_metrics (s : string) : (string * float) list =
-    let n = String.length s in
-    let fail msg = raise (Parse_error msg) in
-    let find_sub sub from =
-      let m = String.length sub in
-      let rec go i =
-        if i + m > n then fail (Printf.sprintf "missing %S" sub)
-        else if String.sub s i m = sub then i
-        else go (i + 1)
-      in
-      go from
-    in
-    let skip_ws i =
-      let rec go i = if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t' || s.[i] = '\r') then go (i + 1) else i in
-      go i
-    in
-    (* position just after the '{' opening the metrics object *)
-    let start =
-      let k = find_sub "\"metrics\"" 0 in
-      let c = skip_ws (find_sub ":" k + 1) in
-      if c >= n || s.[c] <> '{' then fail "metrics is not an object";
-      c + 1
-    in
-    let parse_string i =
-      if i >= n || s.[i] <> '"' then fail "expected string";
-      let rec go j = if j >= n then fail "unterminated string" else if s.[j] = '"' then j else go (j + 1) in
-      let e = go (i + 1) in
-      (String.sub s (i + 1) (e - i - 1), e + 1)
-    in
-    (* Number parse failures name the metric they sit under: a malformed
-       value in a machine-written file is almost always one bad metric
-       (e.g. a nan that slipped past the writer), and "expected number"
-       with no key means grepping the whole file by hand. *)
-    let parse_number ~key i =
-      let isnum c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-      let rec go j = if j < n && isnum s.[j] then go (j + 1) else j in
-      let e = go i in
-      if e = i then
-        fail
-          (Printf.sprintf "metric %S: expected a number, found %s" key
-             (if i >= n then "end of file" else Printf.sprintf "%C" s.[i]));
-      let lit = String.sub s i (e - i) in
-      match float_of_string_opt lit with
-      | Some v -> (v, e)
-      | None -> fail (Printf.sprintf "metric %S: malformed number %S" key lit)
-    in
-    let rec entries i acc =
-      let i = skip_ws i in
-      if i >= n then fail "unterminated metrics object"
-      else if s.[i] = '}' then List.rev acc
-      else if s.[i] = ',' then entries (i + 1) acc
-      else begin
-        let key, i = parse_string i in
-        let i = skip_ws i in
-        if i >= n || s.[i] <> ':' then fail (Printf.sprintf "metric %S: expected ':'" key);
-        let v, i = parse_number ~key (skip_ws (i + 1)) in
-        entries i ((key, v) :: acc)
-      end
-    in
-    entries start []
-
-  (* Top-level scalar header fields: everything before the "metrics"
-     key, in file order.  String values lose their quotes; numbers keep
-     their literal text (the header is display-only, never compared). *)
-  let parse_header (s : string) : (string * string) list =
-    let n = String.length s in
-    let fail msg = raise (Parse_error msg) in
-    let skip_ws i =
-      let rec go i =
-        if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t' || s.[i] = '\r') then go (i + 1) else i
-      in
-      go i
-    in
-    let parse_string i =
-      if i >= n || s.[i] <> '"' then fail "expected string";
-      let rec go j = if j >= n then fail "unterminated string" else if s.[j] = '"' then j else go (j + 1) in
-      let e = go (i + 1) in
-      (String.sub s (i + 1) (e - i - 1), e + 1)
-    in
-    let scalar i =
-      if i < n && s.[i] = '"' then parse_string i
-      else begin
-        let isnum c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-        let rec go j = if j < n && isnum s.[j] then go (j + 1) else j in
-        let e = go i in
-        if e = i then fail "header: expected a scalar value";
-        (String.sub s i (e - i), e)
-      end
-    in
-    let start =
-      let i = skip_ws 0 in
-      if i >= n || s.[i] <> '{' then fail "not a JSON object";
-      i + 1
-    in
-    let rec entries i acc =
-      let i = skip_ws i in
-      if i >= n then fail "unterminated header"
-      else if s.[i] = '}' then List.rev acc
-      else if s.[i] = ',' then entries (i + 1) acc
-      else begin
-        let key, i = parse_string i in
-        if key = "metrics" then List.rev acc
-        else begin
-          let i = skip_ws i in
-          if i >= n || s.[i] <> ':' then fail (Printf.sprintf "header %S: expected ':'" key);
-          let v, i = scalar (skip_ws (i + 1)) in
-          entries i ((key, v) :: acc)
-        end
-      end
-    in
-    entries start []
-
-  let lift (s : string) : (t, string) result =
-    match (parse_header s, parse_metrics s) with
-    | exception Parse_error msg -> Error ("legacy bench json: " ^ msg)
-    | header, metrics ->
-        let field k = List.assoc_opt k header in
-        let host =
-          match (field "jobs", field "cpus", field "ocaml") with
-          | Some j, Some c, Some o -> (
-              match (int_of_string_opt j, int_of_string_opt c) with
-              | Some jobs, Some cpus -> Some { jobs; cpus; ocaml = o }
-              | _ -> None)
-          | _ -> None
-        in
-        Ok
-          {
-            rev = Option.value (field "rev") ~default:"unknown";
-            date = Option.value (field "date") ~default:"";
-            seed = None;
-            config = "";
-            host;
-            rows = rows_of_metrics ~kind:"bench" metrics;
-          }
-end
-
-(* ------------------------------------------------------------------ *)
 (* Strict reader.                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let contains_sub sub s =
-  let m = String.length sub and n = String.length s in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let rindex_sub sub s =
   let m = String.length sub in
@@ -588,59 +411,57 @@ let row_of_json i v =
   }
 
 let of_string (s : string) : (t, string) result =
-  if not (contains_sub "\"schema_version\"" s) then
-    if contains_sub "\"metrics\"" s then Legacy.lift s
-    else Error "datafile: neither a schema-v1 datafile nor a legacy bench json"
-  else
-    match Json.parse s with
-    | Error msg -> Error ("datafile: " ^ msg)
-    | Ok doc -> (
-        try
-          let kvs = Json.as_obj "datafile" doc in
-          let v = Json.as_int "schema_version" (Json.field "datafile" "schema_version" kvs) in
-          if v <> schema_version then
-            Error (Printf.sprintf "datafile: unsupported schema version %d (want %d)" v schema_version)
-          else begin
-            (* Checksum covers every byte before the trailing field; the
-               writer escapes raw newlines inside strings, so the last
-               occurrence of the literal is the real field. *)
-            let sum_field = Json.as_str "checksum" (Json.field "datafile" "checksum" kvs) in
-            let expected =
-              match Scanf.sscanf_opt sum_field "fnv1a:%x%!" (fun x -> x) with
-              | Some x -> x
-              | None -> raise (Json.Fail (Printf.sprintf "malformed checksum %S" sum_field))
-            in
-            match rindex_sub checksum_literal s with
-            | None -> Error "datafile: truncated (no checksum field)"
-            | Some i ->
-                if fnv_string (String.sub s 0 i) <> expected then
-                  Error "datafile: checksum mismatch (corrupted datafile)"
-                else
-                  Ok
-                    {
-                      rev = Json.as_str "rev" (Json.field "datafile" "rev" kvs);
-                      date = Json.as_str "date" (Json.field "datafile" "date" kvs);
-                      seed =
-                        (match List.assoc_opt "seed" kvs with
-                        | None -> None
-                        | Some v -> Some (Json.as_int "seed" v));
-                      config = Json.as_str "config" (Json.field "datafile" "config" kvs);
-                      host =
-                        (match List.assoc_opt "host" kvs with
-                        | None -> None
-                        | Some v ->
-                            let h = Json.as_obj "host" v in
-                            Some
-                              {
-                                jobs = Json.as_int "host.jobs" (Json.field "host" "jobs" h);
-                                cpus = Json.as_int "host.cpus" (Json.field "host" "cpus" h);
-                                ocaml = Json.as_str "host.ocaml" (Json.field "host" "ocaml" h);
-                              });
-                      rows =
-                        List.mapi row_of_json (Json.as_arr "rows" (Json.field "datafile" "rows" kvs));
-                    }
-          end
-        with Json.Fail msg -> Error ("datafile: " ^ msg))
+  match Json.parse s with
+  | Error msg -> Error ("datafile: " ^ msg)
+  | Ok doc -> (
+      try
+        let kvs = Json.as_obj "datafile" doc in
+        match List.assoc_opt "schema_version" kvs with
+        | None -> Error "datafile: not a schema-v1 datafile (no \"schema_version\" field)"
+        | Some v -> (
+            let v = Json.as_int "schema_version" v in
+            if v <> schema_version then
+              Error (Printf.sprintf "datafile: unsupported schema version %d (want %d)" v schema_version)
+            else
+              (* Checksum covers every byte before the trailing field; the
+                 writer escapes raw newlines inside strings, so the last
+                 occurrence of the literal is the real field. *)
+              let sum_field = Json.as_str "checksum" (Json.field "datafile" "checksum" kvs) in
+              let expected =
+                match Scanf.sscanf_opt sum_field "fnv1a:%x%!" (fun x -> x) with
+                | Some x -> x
+                | None -> raise (Json.Fail (Printf.sprintf "malformed checksum %S" sum_field))
+              in
+              match rindex_sub checksum_literal s with
+              | None -> Error "datafile: truncated (no checksum field)"
+              | Some i ->
+                  if fnv_string (String.sub s 0 i) <> expected then
+                    Error "datafile: checksum mismatch (corrupted datafile)"
+                  else
+                    Ok
+                      {
+                        rev = Json.as_str "rev" (Json.field "datafile" "rev" kvs);
+                        date = Json.as_str "date" (Json.field "datafile" "date" kvs);
+                        seed =
+                          (match List.assoc_opt "seed" kvs with
+                          | None -> None
+                          | Some v -> Some (Json.as_int "seed" v));
+                        config = Json.as_str "config" (Json.field "datafile" "config" kvs);
+                        host =
+                          (match List.assoc_opt "host" kvs with
+                          | None -> None
+                          | Some v ->
+                              let h = Json.as_obj "host" v in
+                              Some
+                                {
+                                  jobs = Json.as_int "host.jobs" (Json.field "host" "jobs" h);
+                                  cpus = Json.as_int "host.cpus" (Json.field "host" "cpus" h);
+                                  ocaml = Json.as_str "host.ocaml" (Json.field "host" "ocaml" h);
+                                });
+                        rows =
+                          List.mapi row_of_json (Json.as_arr "rows" (Json.field "datafile" "rows" kvs));
+                      })
+      with Json.Fail msg -> Error ("datafile: " ^ msg))
 
 let read ~path : (t, string) result =
   match open_in_bin path with
@@ -783,213 +604,6 @@ let merge (a : t) (b : t) : (t, string) result =
             rows;
           }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Diff: the bench-gate comparison semantics.                          *)
-(* ------------------------------------------------------------------ *)
-
-type direction = Lower_better | Higher_better
-
-(* Infer the improvement direction from the metric name, matching the
-   naming convention of bench/main.ml: times end in _ns/_s, ratios
-   contain "speedup", throughputs contain "per_sec", percentages of a
-   good thing (fast-path share, report agreement) end in "_pct";
-   everything else (pivot/solve/fallback counts) is work and should not
-   grow. *)
-let direction_of key =
-  if contains_sub "speedup" key || contains_sub "per_sec" key || contains_sub "_pct" key then
-    Higher_better
-  else Lower_better
-
-let gated key =
-  let pfx p = String.length key >= String.length p && String.sub key 0 (String.length p) = p in
-  pfx "gen." || pfx "lp." || pfx "round." || pfx "sweep." || pfx "campaign." || pfx "serve."
-  || pfx "prog."
-
-type verdict = {
-  key : string;
-  base : float option;
-  curr : float option;
-  ratio : float;
-  gated : bool;
-  regressed : bool;
-}
-
-(* Worseness ratio with the degenerate baselines handled.  A gated work
-   counter (fallbacks, pivots) legitimately sits at 0.0 until a change
-   makes it grow — growth from a zero baseline is exactly the regression
-   such a metric exists to catch, so it maps to [infinity], not to the
-   old silently-passing 1.0.  Symmetrically, a speedup that collapses to
-   zero (or a nonsense negative estimate) is a regression however large
-   the baseline was. *)
-let worse_ratio ~dir ~base ~curr =
-  match dir with
-  | Lower_better ->
-      if base > 0.0 then curr /. base
-      else if curr > 0.0 then infinity (* growth from a zero baseline *)
-      else 1.0
-  | Higher_better ->
-      if curr > 0.0 then base /. curr
-      else if base > 0.0 then infinity (* speedup collapsed to <= 0 *)
-      else 1.0
-
-(* [diff_metrics ~threshold base curr] pairs the two runs up, in
-   baseline order.  A *gated* metric present in the baseline but absent
-   from the current run is a failure, not a skip: renaming or dropping a
-   gated benchmark would otherwise un-gate it silently.  Non-gated
-   vanished metrics and metrics new in the current run are reported as
-   informational. *)
-let diff_metrics ?(threshold = 0.25) (base : (string * float) list)
-    (curr : (string * float) list) : verdict list =
-  let paired =
-    List.map
-      (fun (key, b) ->
-        let g = gated key in
-        match List.assoc_opt key curr with
-        | None ->
-            (* Vanished: only a failure where the gate depended on it. *)
-            { key; base = Some b; curr = None; ratio = infinity; gated = g; regressed = g }
-        | Some c ->
-            let ratio = worse_ratio ~dir:(direction_of key) ~base:b ~curr:c in
-            { key; base = Some b; curr = Some c; ratio; gated = g; regressed = g && ratio > 1.0 +. threshold })
-      base
-  in
-  let fresh =
-    List.filter_map
-      (fun (key, c) ->
-        if List.mem_assoc key base then None
-        else
-          (* New metric: no baseline to judge against; it becomes gated
-             once this run's datafile is committed as the next baseline. *)
-          Some { key; base = None; curr = Some c; ratio = 1.0; gated = gated key; regressed = false })
-      curr
-  in
-  paired @ fresh
-
-let metrics (t : t) = List.concat_map (fun (r : row) -> r.metrics) t.rows
-
-let diff ?threshold (base : t) (curr : t) = diff_metrics ?threshold (metrics base) (metrics curr)
-
-let any_regression verdicts = List.exists (fun v -> v.regressed) verdicts
-
-let verdict_status v =
-  match (v.base, v.curr) with
-  | _, None when v.regressed -> "MISSING (gated metric vanished — renamed or dropped?)"
-  | _, None -> "missing (info)"
-  | None, _ -> "new (no baseline yet)"
-  | Some _, Some _ ->
-      if v.regressed then "REGRESSED"
-      else if not v.gated then "info"
-      else if v.ratio > 1.0 then "worse (within threshold)"
-      else "ok"
-
-let pp_diff fmt ~threshold verdicts =
-  Format.fprintf fmt "%-45s %12s %12s %8s  %s@." "metric" "baseline" "current" "ratio" "status";
-  List.iter
-    (fun v ->
-      let num = function Some x -> Printf.sprintf "%12.3f" x | None -> Printf.sprintf "%12s" "-" in
-      Format.fprintf fmt "%-45s %s %s %7.2fx  %s@." v.key (num v.base) (num v.curr) v.ratio
-        (verdict_status v))
-    verdicts;
-  let bad = List.filter (fun v -> v.regressed) verdicts in
-  if bad = [] then
-    Format.fprintf fmt "gate: OK (%d metrics compared, threshold %.0f%%)@." (List.length verdicts)
-      (100.0 *. threshold)
-  else begin
-    let missing, slow = List.partition (fun v -> v.curr = None) bad in
-    if slow <> [] then
-      Format.fprintf fmt "gate: FAIL — %d gated metric(s) regressed more than %.0f%%@."
-        (List.length slow) (100.0 *. threshold);
-    if missing <> [] then
-      Format.fprintf fmt "gate: FAIL — %d gated metric(s) missing from the current run@."
-        (List.length missing)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Host comparability.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let host_mismatch (a : t) (b : t) : string list =
-  match (a.host, b.host) with
-  | None, None -> [ "neither run records its machine context (jobs/cpus/ocaml)" ]
-  | None, Some _ -> [ "baseline records no machine context (pre-schema file?)" ]
-  | Some _, None -> [ "current run records no machine context" ]
-  | Some ha, Some hb ->
-      let r = ref [] in
-      if ha.jobs <> hb.jobs then
-        r := !r @ [ Printf.sprintf "jobs differ: %d vs %d" ha.jobs hb.jobs ];
-      if ha.cpus <> hb.cpus then
-        r := !r @ [ Printf.sprintf "cpus differ: %d vs %d" ha.cpus hb.cpus ];
-      if ha.ocaml <> hb.ocaml then
-        r := !r @ [ Printf.sprintf "ocaml differs: %s vs %s" ha.ocaml hb.ocaml ];
-      !r
-
-let header_fields (t : t) : (string * string) list =
-  [ ("rev", t.rev); ("date", t.date) ]
-  @ (match t.seed with Some s -> [ ("seed", string_of_int s) ] | None -> [])
-  @ (if t.config = "" then [] else [ ("config", t.config) ])
-  @
-  match t.host with
-  | Some h ->
-      [ ("jobs", string_of_int h.jobs); ("cpus", string_of_int h.cpus); ("ocaml", h.ocaml) ]
-  | None -> []
-
-(* ------------------------------------------------------------------ *)
-(* Markdown rendering (PR review, $GITHUB_STEP_SUMMARY).               *)
-(* ------------------------------------------------------------------ *)
-
-let markdown_diff ?(threshold = 0.25) (base : t) (curr : t) : string =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let host_str = function
-    | Some h -> Printf.sprintf "%d jobs / %d cpus / ocaml %s" h.jobs h.cpus h.ocaml
-    | None -> "(not recorded)"
-  in
-  pf "### Datafile diff\n\n";
-  pf "| | baseline | current |\n|---|---|---|\n";
-  pf "| rev | `%s` | `%s` |\n" base.rev curr.rev;
-  pf "| date | %s | %s |\n" base.date curr.date;
-  pf "| host | %s | %s |\n\n" (host_str base.host) (host_str curr.host);
-  (match host_mismatch base curr with
-  | [] -> ()
-  | reasons ->
-      pf "> **Warning** — runs are not host-comparable, ratios may be noise: %s\n\n"
-        (String.concat "; " reasons));
-  let verdicts = diff ~threshold base curr in
-  (* Progressive Pareto metrics (prefix degree, fast-tier share, tiered
-     latency) get their own table: they describe a cost–accuracy
-     trade-off, not a single scalar to eyeball among the others. *)
-  let is_prog v = String.length v.key >= 5 && String.sub v.key 0 5 = "prog." in
-  let prog_vs, main_vs = List.partition is_prog verdicts in
-  let table vs =
-    pf "| metric | baseline | current | ratio | status |\n|---|---:|---:|---:|---|\n";
-    List.iter
-      (fun v ->
-        let num = function Some x -> Printf.sprintf "%.3f" x | None -> "—" in
-        let status = verdict_status v in
-        let status = if v.regressed then "**" ^ status ^ "**" else status in
-        pf "| `%s` | %s | %s | %.2fx | %s |\n" v.key (num v.base) (num v.curr) v.ratio status)
-      vs;
-    pf "\n"
-  in
-  table main_vs;
-  if prog_vs <> [] then begin
-    pf "#### Progressive Pareto (prefix tier)\n\n";
-    table prog_vs
-  end;
-  let bad = List.filter (fun v -> v.regressed) verdicts in
-  if bad = [] then
-    pf "**gate: OK** (%d metrics compared, threshold %.0f%%)\n" (List.length verdicts)
-      (100.0 *. threshold)
-  else begin
-    let missing, slow = List.partition (fun v -> v.curr = None) bad in
-    if slow <> [] then
-      pf "**gate: FAIL** — %d gated metric(s) regressed more than %.0f%%\n" (List.length slow)
-        (100.0 *. threshold);
-    if missing <> [] then
-      pf "**gate: FAIL** — %d gated metric(s) missing from the current run\n" (List.length missing)
-  end;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Canonical campaign report text.  Byte-compatible with               *)

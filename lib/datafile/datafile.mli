@@ -1,11 +1,11 @@
 (** Versioned run datafiles: the one schema every subsystem's results
-    land in, with read/write/merge/diff as first-class operations.
+    land in, with read/write/merge as first-class operations.
 
     A datafile is a JSON document (schema version {!schema_version})
     capturing one run's identity (rev, date, seed, config), its machine
     context (jobs/cpus/ocaml), and rows of (kind, function, repr, mode)
     results — generation statistics, sweep/campaign verdicts, serving
-    SLOs, bench metrics.  The encoding carries a trailing FNV-1a
+    SLOs, benchmark metrics.  The encoding carries a trailing FNV-1a
     checksum over the body; {!read} refuses truncated, corrupted,
     foreign or future-versioned files with a message instead of
     comparing garbage (the {!Sweep.Checkpoint} discipline).
@@ -14,12 +14,8 @@
     paranoid: rows of the same (kind, func, repr, mode) must agree on
     identity and geometry and their spans must tile the item space
     exactly — overlap, gap or identity drift is refused, never papered
-    over.  [diff] compares two runs metric by metric with the bench
-    gate's polarity rules (times and work counts are lower-better,
-    speedups/throughputs/percentages higher-better) and its degenerate-
-    baseline handling (growth from zero and collapsed speedups are
-    infinite ratios; a gated metric missing from the current run is a
-    failure, not a skip). *)
+    over.  Comparing two runs is [bench/suite compare]'s job: it judges
+    with the polarities and bounds declared in BENCHMARK.json. *)
 
 val schema_version : int
 
@@ -31,7 +27,7 @@ type mismatch = { pattern : int; got : int; want : int }
 type span = { lo : int; hi : int; n_items : int; chunk_size : int }
 
 type row = {
-  kind : string;  (* "bench" | "generate" | "sweep" | "campaign" | "serve" *)
+  kind : string;  (* "benchmark" | "generate" | "sweep" | "campaign" | "serve" *)
   func : string;
   repr : string;
   mode : string;
@@ -50,7 +46,7 @@ type t = {
   date : string;  (* ISO-8601 UTC; lexicographic order = chronological *)
   seed : int option;
   config : string;  (* free-form run configuration fingerprint *)
-  host : host option;  (* None: unknown (legacy files) *)
+  host : host option;  (* None: not recorded *)
   rows : row list;
 }
 
@@ -67,9 +63,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Strict decode: schema version must equal {!schema_version} and the
-    trailing checksum must match.  A legacy [BENCH_<rev>.json] (the
-    pre-schema flat metric map) is recognized and lifted into a
-    schema-v1 value — see {!Legacy}. *)
+    trailing checksum must match.  A document with no
+    ["schema_version"] field (such as a pre-schema flat metric map) is
+    refused as not a schema-v1 datafile. *)
 
 val write : path:string -> t -> unit
 (** Atomic (tmp-then-rename) write of {!to_string}. *)
@@ -98,55 +94,6 @@ val merge : t -> t -> (t, string) result
     {!merge_rows}. *)
 
 (* ------------------------------------------------------------------ *)
-(* Diff (the bench-gate comparison semantics).                         *)
-(* ------------------------------------------------------------------ *)
-
-type direction = Lower_better | Higher_better
-
-val direction_of : string -> direction
-(** Polarity by naming convention: keys containing "speedup",
-    "per_sec" or "_pct" are higher-better; everything else (times,
-    work counts) must not grow. *)
-
-val gated : string -> bool
-(** True for the metric families whose regression fails the CI gate:
-    gen.*, lp.*, round.*, sweep.*, campaign.*, serve.*. *)
-
-type verdict = {
-  key : string;
-  base : float option;  (* None: metric is new in the current run *)
-  curr : float option;  (* None: metric vanished from the current run *)
-  ratio : float;  (* >1 = worse, direction-normalized *)
-  gated : bool;
-  regressed : bool;
-}
-
-val metrics : t -> (string * float) list
-(** All rows' metrics, flattened in row order. *)
-
-val diff_metrics :
-  ?threshold:float -> (string * float) list -> (string * float) list -> verdict list
-
-val diff : ?threshold:float -> t -> t -> verdict list
-(** [diff base curr] = {!diff_metrics} over the flattened metrics. *)
-
-val any_regression : verdict list -> bool
-
-val pp_diff : Format.formatter -> threshold:float -> verdict list -> unit
-
-val host_mismatch : t -> t -> string list
-(** Human-readable reasons the two runs' machine contexts are not
-    comparable ([] = comparable as far as recorded): differing
-    jobs/cpus/ocaml, or a side with no recorded host at all.
-    Cross-host ratios are noise — callers warn loudly or refuse. *)
-
-val markdown_diff : ?threshold:float -> t -> t -> string
-(** [markdown_diff base curr]: GitHub-flavored markdown comparison table
-    (for PR review and [$GITHUB_STEP_SUMMARY]) — header with both runs'
-    identity and host, host-mismatch warning, one table row per metric,
-    gate verdict. *)
-
-(* ------------------------------------------------------------------ *)
 (* Canonical campaign report text.                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -155,31 +102,6 @@ val campaign_text : row -> string
     byte-identical to [Campaign.Report.text] over the same verdicts:
     identity line, mismatches, quarantined ranges, totals.  Free of
     timings and shard counts on purpose. *)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy BENCH_<rev>.json support.                                    *)
-(* ------------------------------------------------------------------ *)
-
-exception Parse_error of string
-
-module Legacy : sig
-  val parse_metrics : string -> (string * float) list
-  (** Parse the flat ["metrics"] object of a pre-schema bench JSON.
-      @raise Parse_error on malformed input, naming the offending key. *)
-
-  val parse_header : string -> (string * string) list
-  (** Top-level scalar fields before ["metrics"], in file order. *)
-
-  val lift : string -> (t, string) result
-  (** Lift a legacy bench JSON into a schema-v1 value: header fields
-      become rev/date/host, metrics become "bench" rows grouped by
-      metric-family prefix.  No checksum to verify — the committed
-      baselines predate the schema. *)
-end
-
-val header_fields : t -> (string * string) list
-(** Display-order scalar header (rev, date, seed, config, host) for
-    log output. *)
 
 (* ------------------------------------------------------------------ *)
 (* Producer helpers.                                                   *)
@@ -191,6 +113,3 @@ val timestamp : unit -> string
 val git_rev : unit -> string
 (** Short HEAD revision, or "unknown" outside a git checkout. *)
 
-val rows_of_metrics : kind:string -> (string * float) list -> row list
-(** Group a flat metric list into one row per family (the key prefix
-    before the first '.'), preserving first-appearance order. *)

@@ -10,13 +10,13 @@
 
     Two entry points share the factorized-basis machinery:
 
-    - {!feasible} — a one-shot cold solve.  It replays the retained dense
-      two-phase tableau ({!feasible_reference}) pivot for pivot (same
-      column order, same Bland entering choice, same division-free ratio
-      test and tie-breaks), so its answers — including the returned
-      point, not just the verdict — are bit-identical to the reference.
-      Only the data structure changed: a basis factorization replaces
-      the full m x (2n+m+a) tableau update.
+    - {!feasible} — a one-shot cold solve.  It replays the dense
+      two-phase tableau pivot for pivot (same column order, same Bland
+      entering choice, same division-free ratio test and tie-breaks), so
+      its answers — including the returned point, not just the verdict —
+      are bit-identical to the tableau's.  Only the data structure
+      differs: a basis factorization replaces the full m x (2n+m+a)
+      tableau update.
     - {!state} / {!solve} — an incremental system that keeps its basis
       across {!add_row} / {!set_rhs} edits and repairs it with a
       dual-simplex pass instead of re-solving from scratch.  Warm solves
@@ -30,13 +30,9 @@ type outcome =
 
 (** [feasible ~a ~b] decides [exists x. a x <= b] with [x] free.
     [a] is an [m x n] dense matrix (rows of equal length [n]).
-    Revised simplex; answers replay {!feasible_reference} exactly.
+    Revised simplex; answers replay the dense two-phase tableau exactly.
     @raise Invalid_argument on ragged or empty input. *)
 val feasible : a:Rational.t array array -> b:Rational.t array -> outcome
-
-(** The dense two-phase tableau kernel this module grew out of, retained
-    verbatim as the differential-test reference and ultimate fallback. *)
-val feasible_reference : a:Rational.t array array -> b:Rational.t array -> outcome
 
 (** Pivot cap for a single solve, cold or warm (default 20000). *)
 val max_pivots : int ref

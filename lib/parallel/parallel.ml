@@ -27,15 +27,26 @@ let override = ref None
 (** CLI knob: force the job count for every subsequent run. *)
 let set_jobs j = override := Some (Stdlib.max 1 j)
 
+(** RLIBM_JOBS, read through [lookup] ([Sys.getenv_opt] for {!jobs};
+    tests pass a fake).  Unset or blank is [None]; any other value must
+    be an integer >= 1.
+    @raise Invalid_argument naming the variable and its value otherwise,
+    instead of silently falling back (the Rlibm.Config.of_env rule). *)
+let jobs_of_env lookup =
+  match lookup "RLIBM_JOBS" with
+  | Some s when String.trim s <> "" -> (
+      let v = String.trim s in
+      match int_of_string_opt v with
+      | Some j when j >= 1 -> Some j
+      | _ -> invalid_arg (Printf.sprintf "RLIBM_JOBS=%S: expected an integer >= 1" v))
+  | _ -> None
+
 let jobs () =
   match !override with
   | Some j -> j
   | None -> (
-      match Sys.getenv_opt "RLIBM_JOBS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some j when j >= 1 -> j
-          | _ -> Domain.recommended_domain_count ())
+      match jobs_of_env Sys.getenv_opt with
+      | Some j -> j
       | None -> Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)

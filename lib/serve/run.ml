@@ -1,6 +1,6 @@
 (* Batch drivers over {!Kernel} plans: plain-array and Bigarray
    pipelines, per-domain plan pinning, and the SLO measurement used by
-   bin/serve and the bench serve section.
+   bin/serve_cli.
 
    Sharding follows the Funcs.Batch convention: below [par_min] the loop
    runs inline on the calling domain (domain spawn overhead would

@@ -1,6 +1,6 @@
-(* Seedable workload mixes for the serving bench and bin/serve replay.
+(* Seedable workload mixes for bin/serve_cli replay.
 
-   Three mixes, matching the SLO bench's rows:
+   Three mixes:
    - [Uniform]: uniformly random *fast-path* patterns (specials and
      out-of-domain regions rejected), the steady-state serving load;
    - [Hardcase]: half raw random patterns (any bits — NaNs, infinities

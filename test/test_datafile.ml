@@ -1,9 +1,7 @@
 (* The versioned run datafile: round-trip (property and example),
-   refusal of truncated/corrupted/future files, the paranoid merge
-   rejection matrix, diff polarity, the legacy BENCH_<rev>.json lift
-   over every committed baseline, and the 2-shard-vs-1-shard campaign
-   byte-identity the schema exists to guarantee.  The CI bench gate
-   built on the diff is tested in test_gate.ml. *)
+   refusal of truncated/corrupted/future/pre-schema files, the paranoid
+   merge rejection matrix, and the 2-shard-vs-1-shard campaign
+   byte-identity the schema exists to guarantee. *)
 
 module D = Datafile
 
@@ -181,6 +179,13 @@ let test_future_version_refused () =
 let test_garbage_refused () =
   check_err "garbage" [ "datafile" ] (D.of_string "{ \"rev\": \"x\" }")
 
+(* The pre-schema bench JSON (a flat metric map, no version field) is
+   not read any more: it must be refused by name, not crash or lift. *)
+let test_pre_schema_refused () =
+  check_err "pre-schema" [ "not a schema-v1 datafile" ]
+    (D.of_string
+       "{\n  \"rev\": \"0590251\",\n  \"date\": \"2026-08-01T00:00:00Z\",\n  \"metrics\": {\n    \"gen.bfloat16_exp_s\": 1.25,\n    \"lp.warm_grow_speedup\": 3.5\n  }\n}\n")
+
 (* ------------------------------------------------------------------ *)
 (* Merge rejection matrix.                                             *)
 (* ------------------------------------------------------------------ *)
@@ -273,108 +278,6 @@ let test_merge_files () =
       Alcotest.(check int) "rows welded" 1 (List.length m.D.rows)
 
 (* ------------------------------------------------------------------ *)
-(* Diff polarity.                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_diff_polarity () =
-  let vs =
-    D.diff_metrics ~threshold:0.25
-      [
-        ("serve.calls_per_sec", 100.0);
-        ("campaign.fast_path_pct", 100.0);
-        ("sweep.wall_seconds", 1.0);
-        ("bigint.mul_ns", 1.0);
-      ]
-      [
-        ("serve.calls_per_sec", 50.0);
-        (* halved throughput: regression *)
-        ("campaign.fast_path_pct", 99.0);
-        (* within threshold *)
-        ("sweep.wall_seconds", 2.0);
-        (* doubled time: regression *)
-        ("bigint.mul_ns", 10.0);
-        (* 10x worse but ungated *)
-      ]
-  in
-  let v k = List.find (fun (v : D.verdict) -> v.key = k) vs in
-  Alcotest.(check bool) "per_sec drop regresses" true (v "serve.calls_per_sec").regressed;
-  Alcotest.(check (float 1e-9)) "per_sec ratio is base/curr" 2.0 (v "serve.calls_per_sec").ratio;
-  Alcotest.(check bool) "pct within threshold ok" false (v "campaign.fast_path_pct").regressed;
-  Alcotest.(check bool) "time growth regresses" true (v "sweep.wall_seconds").regressed;
-  Alcotest.(check bool) "ungated never fails" false (v "bigint.mul_ns").regressed;
-  Alcotest.(check bool) "gate trips" true (D.any_regression vs)
-
-let test_diff_over_files () =
-  let mk v = file [ row ~metrics:[ ("sweep.wall_seconds", v) ] () ] in
-  Alcotest.(check bool) "2x sweep time trips file diff" true
-    (D.any_regression (D.diff (mk 1.0) (mk 2.0)));
-  Alcotest.(check bool) "equal passes" false (D.any_regression (D.diff (mk 1.0) (mk 1.0)))
-
-let test_host_mismatch () =
-  let a = sample () in
-  Alcotest.(check (list string)) "same host comparable" [] (D.host_mismatch a a);
-  let b = { a with D.host = Some { D.jobs = 1; cpus = 8; ocaml = "5.1.1" } } in
-  Alcotest.(check bool) "jobs drift reported" true (D.host_mismatch a b <> []);
-  let c = { a with D.host = None } in
-  Alcotest.(check bool) "missing host reported" true (D.host_mismatch a c <> [])
-
-let test_markdown_diff () =
-  let md = D.markdown_diff (sample ()) (sample ()) in
-  Alcotest.(check bool) "has metric table header" true (contains "| metric |" md);
-  Alcotest.(check bool) "has gate verdict" true (contains "gate" md)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy BENCH_<rev>.json lift over every committed baseline.          *)
-(* ------------------------------------------------------------------ *)
-
-let repo_root () =
-  let rec up d =
-    if Sys.file_exists (Filename.concat d ".git") then Some d
-    else
-      let parent = Filename.dirname d in
-      if parent = d then None else up parent
-  in
-  up (Sys.getcwd ())
-
-let test_legacy_lift_committed_baselines () =
-  match repo_root () with
-  | None -> Alcotest.fail "no repo root above cwd (test must run inside the checkout)"
-  | Some root ->
-      let baselines =
-        Sys.readdir root |> Array.to_list
-        |> List.filter (fun f ->
-               String.length f > 10
-               && String.sub f 0 6 = "BENCH_"
-               && Filename.check_suffix f ".json")
-        |> List.sort compare
-      in
-      Alcotest.(check bool) "committed baselines present" true (baselines <> []);
-      List.iter
-        (fun f ->
-          let path = Filename.concat root f in
-          let ic = open_in_bin path in
-          let raw = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match D.read ~path with
-          | Error msg -> Alcotest.fail (f ^ ": " ^ msg)
-          | Ok t ->
-              (* The lift must preserve every metric and its exact value.
-                 Grouping by family may reorder keys the old flat files
-                 interleaved; the gate compares by key, so order is free. *)
-              let old = List.sort compare (D.Legacy.parse_metrics raw) in
-              let lifted = List.sort compare (D.metrics t) in
-              Alcotest.(check int) (f ^ ": metric count") (List.length old) (List.length lifted);
-              List.iter2
-                (fun (k, v) (k', v') ->
-                  Alcotest.(check string) (f ^ ": key") k k';
-                  Alcotest.(check bool) (f ^ ": value " ^ k) true (v = v'))
-                old lifted;
-              let hdr = D.Legacy.parse_header raw in
-              Alcotest.(check string) (f ^ ": rev") (List.assoc "rev" hdr) t.D.rev;
-              Alcotest.(check string) (f ^ ": date") (List.assoc "date" hdr) t.D.date)
-        baselines
-
-(* ------------------------------------------------------------------ *)
 (* 2-shard campaign == 1-shard campaign, through Datafile.merge.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -438,6 +341,7 @@ let () =
           Alcotest.test_case "corruption refused" `Quick test_corruption_refused;
           Alcotest.test_case "future version refused" `Quick test_future_version_refused;
           Alcotest.test_case "garbage refused" `Quick test_garbage_refused;
+          Alcotest.test_case "pre-schema document refused" `Quick test_pre_schema_refused;
         ] );
       ( "merge",
         [
@@ -452,18 +356,6 @@ let () =
             test_merge_incomplete_singleton_refused;
           Alcotest.test_case "file identity drift refused" `Quick test_merge_file_drift_refused;
           Alcotest.test_case "file-level merge" `Quick test_merge_files;
-        ] );
-      ( "diff",
-        [
-          Alcotest.test_case "polarity" `Quick test_diff_polarity;
-          Alcotest.test_case "over files" `Quick test_diff_over_files;
-          Alcotest.test_case "host mismatch" `Quick test_host_mismatch;
-          Alcotest.test_case "markdown diff" `Quick test_markdown_diff;
-        ] );
-      ( "legacy",
-        [
-          Alcotest.test_case "lift every committed baseline" `Quick
-            test_legacy_lift_committed_baselines;
         ] );
       ( "campaign",
         [

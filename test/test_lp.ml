@@ -112,7 +112,7 @@ let prop_revised_replays_reference =
   QCheck.Test.make ~name:"revised = dense reference (outcome and point)" ~count:300
     QCheck.unit (fun () ->
       let a, b = random_system () in
-      same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b))
+      same_outcome (S.feasible ~a ~b) (Ref_simplex.feasible_reference ~a ~b))
 
 let prop_revised_replays_reference_small_refactor =
   QCheck.Test.make ~name:"replay holds across refactorization boundaries" ~count:120
@@ -120,7 +120,7 @@ let prop_revised_replays_reference_small_refactor =
       let saved = !S.refactor_interval in
       S.refactor_interval := 1 + Random.State.int st 3;
       let a, b = random_system () in
-      let ok = same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b) in
+      let ok = same_outcome (S.feasible ~a ~b) (Ref_simplex.feasible_reference ~a ~b) in
       S.refactor_interval := saved;
       ok)
 
@@ -147,7 +147,7 @@ let test_degenerate_cycling_guard () =
   | S.Feasible x -> Array.iter (fun v -> Alcotest.check rational "origin" Q.zero v) x
   | _ -> Alcotest.fail "degenerate system is feasible (origin)");
   Alcotest.(check bool) "matches reference" true
-    (same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b))
+    (same_outcome (S.feasible ~a ~b) (Ref_simplex.feasible_reference ~a ~b))
 
 (* Regression: the original dense kernel initialized the phase-1
    criterion row to the z-row (artificial entries 1) rather than z - c
@@ -159,7 +159,7 @@ let test_degenerate_cycling_guard () =
 let test_artificial_reentry_soundness () =
   let a = [| [| q 0; q (-4); q 0 |]; [| q 0; q 1; q 0 |] |] in
   let b = [| q (-3); Q.of_ints (-2) 3 |] in
-  Alcotest.(check bool) "reference sound" true (S.feasible_reference ~a ~b = S.Infeasible);
+  Alcotest.(check bool) "reference sound" true (Ref_simplex.feasible_reference ~a ~b = S.Infeasible);
   Alcotest.(check bool) "revised sound" true (S.feasible ~a ~b = S.Infeasible);
   let stt = S.create ~nv:3 in
   Array.iteri (fun i row -> ignore (S.add_row stt row b.(i))) a;

@@ -183,6 +183,26 @@ let test_generation_bit_identical () =
     (fun j c -> Alcotest.(check int) (Printf.sprintf "misround count at jobs=%d" j) 0 c)
     job_counts counts
 
+(* RLIBM_JOBS through a fake environment: blank is unset, a positive
+   integer is taken, anything else is refused by name — never a silent
+   fallback to the runtime's recommendation.  No domain is spawned. *)
+let test_jobs_of_env () =
+  let jobs v = Parallel.jobs_of_env (fun var -> if var = "RLIBM_JOBS" then v else None) in
+  Alcotest.(check (option int)) "unset" None (jobs None);
+  Alcotest.(check (option int)) "blank" None (jobs (Some "  "));
+  Alcotest.(check (option int)) "3" (Some 3) (jobs (Some "3"));
+  Alcotest.(check (option int)) "padded 2" (Some 2) (jobs (Some " 2\n"));
+  List.iter
+    (fun bad ->
+      match jobs (Some bad) with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (Printf.sprintf "%S refused" bad)
+            (Printf.sprintf "RLIBM_JOBS=%S: expected an integer >= 1" bad) msg
+      | r ->
+          Alcotest.failf "RLIBM_JOBS=%S accepted as %s" bad
+            (match r with Some j -> string_of_int j | None -> "unset"))
+    [ "0"; "-4"; "four"; "2.5"; "4x" ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -194,6 +214,7 @@ let () =
           Alcotest.test_case "find_violation lowest-first" `Quick test_find_violation;
           Alcotest.test_case "Once runs once across domains" `Quick test_once_runs_once;
           Alcotest.test_case "deterministic exception" `Quick test_exception_deterministic;
+          Alcotest.test_case "RLIBM_JOBS refuses bad values" `Quick test_jobs_of_env;
         ] );
       ( "generation",
         [

@@ -5,8 +5,6 @@
    sign-magnitude limbs, schoolbook O(n^2) multiplication, binary GCD,
    digit-at-a-time parsing.  It is deliberately boring — do not optimize
    it, or the differential suites in test_bigint.ml lose their anchor.
-   bench/main.ml also times it as the "before" side of the BIGINT
-   speedup sections.
 
    Original invariants:
    - [mag] is little-endian and has no trailing (most significant) zero limb;

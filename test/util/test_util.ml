@@ -30,6 +30,9 @@ let random_nonzero_bigint st bits =
 
 module Ref = Ref_bigint
 
+(* The dense two-phase tableau Lp.Simplex's revised kernel must replay. *)
+module Ref_simplex = Ref_simplex
+
 (* Exactly [bits] bits (top bit set) when [bits > 0], same value in both
    representations; sign chosen by the same coin. *)
 let bigint_pair ?(exact = false) st bits =
