@@ -233,13 +233,15 @@ let modes_term =
            ~doc:"Standard rounding mode to derive (repeatable; default: all five).")
 
 (* ------------------------------------------------------------------ *)
-(* Full-range sweep: every pattern of the target (optionally strided)   *)
-(* checked against the oracle through the resumable, checkpointed,      *)
-(* fault-tolerant Sweep engine.  This is the scale at which the paper's *)
-(* all-inputs claim is actually verified, so the job must survive a     *)
-(* kill: chunk completion lands in dir/checkpoint.bin (atomic rename)   *)
-(* after every batch, --resume picks up exactly the pending chunks, and *)
-(* the final report is bit-identical either way.                        *)
+(* Certification sweep: every (strided) pattern of the target checked   *)
+(* against the oracle through Campaign — one chunk-aligned shard by     *)
+(* default, or many, run in this process or in forked workers.  This is *)
+(* the scale at which the paper's all-inputs claim is actually          *)
+(* verified, so the run must survive a kill: each shard's chunk         *)
+(* completion lands in its checkpoint after every batch, a finished     *)
+(* shard writes its datafile row, --resume picks up exactly the pending *)
+(* work, and the merged report is byte-identical at any shard or worker *)
+(* count, under either verifier, interrupted or not.                    *)
 (* ------------------------------------------------------------------ *)
 
 let target_by_name = function
@@ -254,42 +256,6 @@ let quality_name = function
   | Funcs.Libm.Draft -> "draft"
   | Funcs.Libm.Quick -> "quick"
   | Funcs.Libm.Full -> "full"
-
-(* Deterministic report: identity line, mismatches in pattern order,
-   quarantined chunks in chunk order, totals.  No timings, no counters —
-   an interrupted-and-resumed sweep must reproduce it byte for byte. *)
-let write_report path ~identity (o : Sweep.Engine.outcome) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Printf.fprintf oc "%s\n" identity;
-  Array.iter
-    (fun (m : Sweep.Checkpoint.mismatch) ->
-      Printf.fprintf oc "mismatch 0x%x got 0x%x want 0x%x\n" m.pattern m.got m.want)
-    o.mismatches;
-  List.iter
-    (fun (ci, lo, hi, msg) -> Printf.fprintf oc "quarantined chunk %d [%d,%d): %s\n" ci lo hi msg)
-    o.quarantined;
-  Printf.fprintf oc "total %d mismatches, %d quarantined chunks over %d points\n"
-    (Array.length o.mismatches) (List.length o.quarantined) o.checkpoint.Sweep.Checkpoint.n_items;
-  close_out oc;
-  Sys.rename tmp path
-
-(* This machine's context for run datafiles: comparisons across
-   different jobs/cpus/ocaml are noise, so the facts are recorded at
-   run time. *)
-let datafile_host () =
-  Some
-    {
-      Datafile.jobs = Parallel.jobs ();
-      cpus = Domain.recommended_domain_count ();
-      ocaml = Sys.ocaml_version;
-    }
-
-let datafile_mismatches ms =
-  Array.map
-    (fun (m : Sweep.Checkpoint.mismatch) ->
-      { Datafile.pattern = m.pattern; got = m.got; want = m.want })
-    ms
 
 (* Resolve the verifier policy, refusing [`Fast] when the certificate
    would be unsound (non-exhaustive generation) and reporting what
@@ -310,211 +276,89 @@ let resolve_policy (policy : Rlibm.Verifier.policy) (g : G.generated) =
   | (`Fast | `Oracle) as p -> p
 
 (* A progressive generation changes which coefficients are served, but
-   not the sweep/campaign identity: verdicts are output-level and the
-   tier is bit-identical to the full path, so reports from progressive
-   and classic runs must stay interchangeable (byte-identical). *)
+   not the sweep identity: verdicts are output-level and the tier is
+   bit-identical to the full path, so reports from progressive and
+   classic runs must stay interchangeable (byte-identical). *)
 let cfg_of_prog prog =
   if prog then Some { Rlibm.Config.default with progressive = true } else None
 
+let refuse fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 3)
+    fmt
+
 let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir resume cache_dir
-    verifier =
-  set_jobs jobs;
+    verifier shards workers shard_sel do_merge =
+  if stride < 1 then refuse "sweep: --stride must be at least 1 (got %d)" stride;
+  if workers < 0 then refuse "sweep: --workers must be 0 (in-process) or more (got %d)" workers;
+  (* OCaml refuses fork once a domain has been spawned, so a forking run
+     pins the parent to one domain and [--jobs] applies inside the
+     workers; in-process runs use [--jobs] for generation and the
+     engine. *)
+  if workers > 0 then Parallel.set_jobs 1 else set_jobs jobs;
   let t = apply_mode mode (target_by_name tname) in
   let module T = (val t.repr) in
-  let g = Funcs.Libm.get ~quality ?cfg:(cfg_of_prog prog) t fname in
-  let spec = g.G.spec in
-  let stride = Stdlib.max 1 stride in
   let n = (((1 lsl T.bits) - 1) / stride) + 1 in
-  let mode_s = Fp.Rounding_mode.to_string spec.mode in
-  (* The verifier policy is NOT part of the identity: fast and oracle
-     verification are two ways of computing the same verdicts, and their
-     reports must stay interchangeable (byte-identical). *)
+  let mode_s = Fp.Rounding_mode.to_string t.mode in
+  (* Free of verifier policy, shard count and worker count: the report
+     must byte-compare across all of them. *)
   let identity =
     Printf.sprintf "rlibm-sweep v1 target=%s func=%s mode=%s bits=%d stride=%d quality=%s"
       t.tname fname mode_s T.bits stride (quality_name quality)
   in
-  (* The oracle cache outlives the sweep directory on purpose: repeated
-     sweeps, hard-case hunts and cached generations all share it. *)
-  let cache_dir =
-    match (cache_dir, Rlibm.Config.default.oracle_cache_dir) with
-    | Some d, _ | None, Some d -> d
-    | None, None -> Filename.concat dir "cache"
-  in
-  let cache = Sweep.Oracle_cache.open_ ~dir:cache_dir ~repr:T.name ~func:fname ~mode:mode_s in
-  let policy = resolve_policy verifier g in
-  let counters = Sweep.Verify.counters () in
-  let v = Rlibm.Verifier.make ~counters ~cache ~policy g in
-  let f = Sweep.Verify.sweep_fn v ~stride () in
-  Printf.printf "sweep: %s — %d points in chunks of %d, %s verifier (dir %s%s)\n%!" identity n
-    chunk
-    (match policy with `Fast -> "fast (oracle on escalation)" | `Oracle -> "oracle")
-    dir
-    (if resume then ", resuming" else "");
-  let last_print = ref 0.0 in
-  let progress (p : Sweep.Engine.progress) =
-    let now = Unix.gettimeofday () in
-    if now -. !last_print >= 1.0 || p.completed_chunks + p.quarantined_chunks = p.total_chunks
-    then begin
-      last_print := now;
-      Rlibm.Stats.pp_sweep Format.std_formatter p
-    end
-  in
-  match
-    Sweep.Engine.run ~dir ~identity ~n ~chunk_size:chunk ~max_retries:retries
-      ~checkpoint_every:ckpt_every ~resume ~cache ~verify:counters ~progress f
-  with
-  | Error msg ->
-      prerr_endline msg;
-      exit 3
-  | Ok o ->
-      Sweep.Oracle_cache.close cache;
-      let report = Filename.concat dir "report.txt" in
-      write_report report ~identity o;
-      (* The run as a datafile: verdicts + timings + machine context in
-         the one schema every run result uses.  report.txt stays the
-         canonical byte-identity artifact; the datafile deliberately
-         carries what that report omits. *)
-      let datafile = Filename.concat dir "datafile.json" in
-      Datafile.write ~path:datafile
-        {
-          Datafile.rev = Datafile.git_rev ();
-          date = Datafile.timestamp ();
-          seed = None;
-          config = identity;
-          host = datafile_host ();
-          rows =
-            [
-              {
-                Datafile.kind = "sweep";
-                func = fname;
-                repr = t.tname;
-                mode = mode_s;
-                identity;
-                tables_hash = G.tables_fingerprint g;
-                span = Some { Datafile.lo = 0; hi = n; n_items = n; chunk_size = chunk };
-                metrics =
-                  [
-                    ("sweep.wall_seconds", o.stats.wall_seconds);
-                    ("sweep.retry_attempts", float_of_int o.stats.retry_attempts);
-                    ("sweep.cache_hits", float_of_int o.stats.cache_hits);
-                    ("sweep.cache_misses", float_of_int o.stats.cache_misses);
-                    ("sweep.fast", float_of_int (Sweep.Verify.fast counters));
-                    ("sweep.escalated", float_of_int (Sweep.Verify.escalated counters));
-                  ];
-                mismatches = datafile_mismatches o.mismatches;
-                quarantined =
-                  Array.of_list (List.map (fun (_ci, lo, hi, msg) -> (lo, hi, msg)) o.quarantined);
-              };
-            ];
-        };
-      let nmis = Array.length o.mismatches and nq = List.length o.quarantined in
-      Printf.printf
-        "sweep done: %d points, %d mismatches, %d quarantined chunks, %d retries, cache %d hit / \
-         %d miss, verifier %d fast / %d escalated\nreport: %s\ndatafile: %s\n%!"
-        n nmis nq o.stats.retry_attempts o.stats.cache_hits o.stats.cache_misses
-        (Sweep.Verify.fast counters) (Sweep.Verify.escalated counters) report datafile;
-      List.iter
-        (fun (ci, lo, hi, msg) ->
-          Printf.printf "  QUARANTINED chunk %d (points %d..%d): %s\n%!" ci lo (hi - 1) msg)
-        o.quarantined;
-      exit (if nq > 0 then 2 else if nmis > 0 then 1 else 0)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded campaign: the sweep scaled out to worker processes.  The     *)
-(* parent plans chunk-aligned shards, forks one worker per shard (or    *)
-(* runs them inline), each worker sweeps its range through its own      *)
-(* engine checkpoint, and the merge step welds the shard reports into   *)
-(* one campaign verdict.                                                *)
-(* ------------------------------------------------------------------ *)
-
-let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries dir resume
-    cache_dir verifier shards workers shard_sel do_merge =
-  (* OCaml refuses fork once a domain has been spawned, so the parent
-     pins itself to inline execution; [--jobs] applies inside workers. *)
-  Parallel.set_jobs 1;
-  let t = apply_mode mode (target_by_name tname) in
-  let module T = (val t.repr) in
-  let stride = Stdlib.max 1 stride in
-  let n = (((1 lsl T.bits) - 1) / stride) + 1 in
-  let mode_s = Fp.Rounding_mode.to_string t.mode in
-  (* Free of verifier policy, shard count and worker count: the merged
-     report must byte-compare across all of them. *)
-  let identity =
-    Printf.sprintf "rlibm-campaign v1 target=%s func=%s mode=%s bits=%d stride=%d quality=%s"
-      t.tname fname mode_s T.bits stride (quality_name quality)
-  in
-  let finish ~tables_hash (o : Campaign.outcome) =
+  let finish (o : Campaign.outcome) =
     let m = o.merged in
-    let quarantined_items =
-      Array.fold_left (fun a (lo, hi, _) -> a + (hi - lo)) 0 m.m_quarantined
-    in
-    let st =
+    let metric k = Option.value ~default:0.0 (List.assoc_opt k m.metrics) in
+    let quarantined_items = Array.fold_left (fun a (lo, hi, _) -> a + (hi - lo)) 0 m.quarantined in
+    Rlibm.Stats.pp_campaign Format.std_formatter
       {
         Rlibm.Stats.c_items = n - quarantined_items;
-        c_shards = m.m_n_shards;
-        c_busy_seconds = m.m_busy_seconds;
+        c_shards = Campaign.Plan.n_shards o.plan;
+        c_busy_seconds = metric "busy_seconds";
         c_wall_seconds = o.wall_seconds;
-        c_fast = m.m_fast;
-        c_escalated = m.m_escalated;
-        c_mismatches = Array.length m.m_mismatches;
-        c_quarantined = Array.length m.m_quarantined;
-      }
-    in
-    Rlibm.Stats.pp_campaign Format.std_formatter st;
-    (* The merged verdict as a datafile: the row is exactly
-       Report.row_of_merged (so Datafile.campaign_text over it equals
-       report.txt), plus the function/target/tables identity the binary
-       shard reports don't carry. *)
-    let datafile = Filename.concat dir "datafile.json" in
-    Datafile.write ~path:datafile
-      {
-        Datafile.rev = Datafile.git_rev ();
-        date = Datafile.timestamp ();
-        seed = None;
-        config = identity;
-        host = datafile_host ();
-        rows =
-          [
-            {
-              (Campaign.Report.row_of_merged m) with
-              Datafile.func = fname;
-              repr = t.tname;
-              mode = mode_s;
-              tables_hash;
-            };
-          ];
+        c_fast = int_of_float (metric "fast");
+        c_escalated = int_of_float (metric "escalated");
+        c_mismatches = Array.length m.mismatches;
+        c_quarantined = Array.length m.quarantined;
       };
-    Printf.printf "report: %s\ndatafile: %s\n%!" o.report_path datafile;
+    Array.iter
+      (fun (lo, hi, msg) -> Printf.printf "  QUARANTINED points %d..%d: %s\n" lo (hi - 1) msg)
+      m.quarantined;
+    Printf.printf "report: %s\ndatafile: %s\n%!" o.report_path o.datafile_path;
     exit
-      (if Array.length m.m_quarantined > 0 then 2
-       else if Array.length m.m_mismatches > 0 then 1
-       else 0)
+      (if Array.length m.quarantined > 0 then 2 else if Array.length m.mismatches > 0 then 1 else 0)
   in
-  if do_merge then begin
+  if do_merge then
     match Campaign.merge_only ~dir ~identity ~n ~shards ~chunk_size:chunk () with
-    | Error msg ->
-        prerr_endline msg;
-        exit 3
-    (* Merge-only runs nothing, so there are no tables to fingerprint:
-       the hash stays empty rather than inventing one. *)
-    | Ok o -> finish ~tables_hash:"" o
-  end
+    | Error msg -> refuse "%s" msg
+    | Ok o -> finish o
   else begin
     let g = Funcs.Libm.get ~quality ?cfg:(cfg_of_prog prog) t fname in
     let policy = resolve_policy verifier g in
     let counters = Sweep.Verify.counters () in
-    (* One cache file per shard: the append-only cache format is not
-       safe for concurrent writer processes. *)
-    let shard_cache shard =
-      let base = match cache_dir with Some d -> d | None -> dir in
-      Filename.concat (Filename.concat base (Printf.sprintf "shard-%04d" shard)) "cache"
+    (* The oracle cache outlives the sweep directory on purpose: repeated
+       sweeps, hard-case hunts and cached generations all share it.  A
+       multi-shard run gives each shard its own cache file under it,
+       because the append-only format is not safe for concurrent
+       writer processes. *)
+    let cache_root =
+      match (cache_dir, Rlibm.Config.default.oracle_cache_dir) with
+      | Some d, _ | None, Some d -> d
+      | None, None -> dir
     in
     let job ~shard =
-      let cache =
-        Sweep.Oracle_cache.open_ ~dir:(shard_cache shard) ~repr:T.name ~func:fname ~mode:mode_s
+      let cdir =
+        if shards = 1 then cache_root
+        else Filename.concat (Campaign.Plan.shard_dir cache_root shard) "cache"
       in
+      let cache = Sweep.Oracle_cache.open_ ~dir:cdir ~repr:T.name ~func:fname ~mode:mode_s in
       let v = Rlibm.Verifier.make ~counters ~cache ~policy g in
       { Campaign.f = Sweep.Verify.sweep_fn v ~stride (); cache = Some cache; counters = Some counters }
+    in
+    let key =
+      { Campaign.func = fname; repr = t.tname; mode = mode_s; tables_hash = G.tables_fingerprint g }
     in
     let last_print = ref 0.0 in
     let progress (p : Sweep.Engine.progress) =
@@ -524,71 +368,41 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
         Rlibm.Stats.pp_sweep Format.std_formatter p
       end
     in
-    Printf.printf "campaign: %s — %d points, %d shards, %s verifier (dir %s%s)\n%!" identity n
-      shards
+    Printf.printf "sweep: %s — %d points in chunks of %d, %d shard(s), %s verifier (dir %s%s)\n%!"
+      identity n chunk shards
       (match policy with `Fast -> "fast (oracle on escalation)" | `Oracle -> "oracle")
       dir
       (if resume then ", resuming" else "");
     match shard_sel with
     | Some s -> (
         (* Run exactly one shard in this process (a worker invocation —
-           what the fork driver does for you, by hand). *)
+           what the fork driver does for you, by hand); merge separately
+           with --merge. *)
         match Campaign.Plan.make ~n_items:n ~chunk_size:chunk ~shards with
-        | Error msg ->
-            prerr_endline msg;
-            exit 3
-        | Ok plan ->
-            if s < 0 || s >= Campaign.Plan.n_shards plan then begin
-              Printf.eprintf "campaign: no shard %d in a %d-shard plan\n%!" s shards;
-              exit 3
-            end;
-            (match
-               Campaign.run_shard ~dir ~identity ~plan ~shard:s ~max_retries:retries
-                 ~checkpoint_every:ckpt_every ?jobs ~resume ~progress (job ~shard:s)
-             with
-            | Error msg ->
-                prerr_endline msg;
-                exit 3
+        | Error msg -> refuse "%s" msg
+        | Ok plan -> (
+            if s < 0 || s >= Campaign.Plan.n_shards plan then
+              refuse "sweep: no shard %d in a %d-shard plan" s shards;
+            match
+              Campaign.run_shard ~dir ~identity ~key ~plan ~shard:s ~max_retries:retries
+                ~checkpoint_every:ckpt_every ?jobs ~resume ~progress (job ~shard:s)
+            with
+            | Error msg -> refuse "%s" msg
             | Ok r ->
-                (* A per-shard datafile next to the binary shard report:
-                   shard datafiles from any subset of workers weld into
-                   the campaign verdict through Datafile.merge, which
-                   refuses overlaps, gaps and identity drift. *)
-                let sdf = Filename.concat (Campaign.Plan.shard_dir dir s) "datafile.json" in
-                Datafile.write ~path:sdf
-                  {
-                    Datafile.rev = Datafile.git_rev ();
-                    date = Datafile.timestamp ();
-                    seed = None;
-                    config = identity;
-                    host = datafile_host ();
-                    rows =
-                      [
-                        {
-                          (Campaign.Report.row_of_report r) with
-                          Datafile.func = fname;
-                          repr = t.tname;
-                          mode = mode_s;
-                          tables_hash = G.tables_fingerprint g;
-                        };
-                      ];
-                  };
+                let lo, hi = plan.shards.(s) in
                 Printf.printf
-                  "shard %d done: [%d,%d), %d mismatches, %d quarantined ranges, %d fast / %d \
-                   escalated\ndatafile: %s\n%!"
-                  s r.lo r.hi (Array.length r.mismatches) (Array.length r.quarantined) r.fast
-                  r.escalated sdf;
+                  "shard %d done: [%d,%d), %d mismatches, %d quarantined ranges\ndatafile: %s\n%!" s
+                  lo hi (Array.length r.mismatches) (Array.length r.quarantined)
+                  (Campaign.shard_datafile dir s);
                 exit 0))
     | None -> (
-        let exec = if workers <= 0 then Campaign.In_process else Campaign.Fork workers in
+        let exec = if workers = 0 then Campaign.In_process else Campaign.Fork workers in
         match
-          Campaign.run ~dir ~identity ~n ~shards ~chunk_size:chunk ~max_retries:retries
+          Campaign.run ~dir ~identity ~key ~n ~shards ~chunk_size:chunk ~max_retries:retries
             ~checkpoint_every:ckpt_every ?jobs ~resume ~progress ~exec ~job ()
         with
-        | Error msg ->
-            prerr_endline msg;
-            exit 3
-        | Ok o -> finish ~tables_hash:(G.tables_fingerprint g) o)
+        | Error msg -> refuse "%s" msg
+        | Ok o -> finish o)
   end
 
 let table1_cmd =
@@ -638,24 +452,30 @@ let retries_term =
            ~doc:"Retries per failing chunk before it is quarantined (reported, never silently dropped).")
 
 let dir_term =
-  Arg.(value & opt string "_sweep" & info [ "dir" ] ~doc:"Sweep state directory (checkpoint + report).")
+  Arg.(value & opt string "_sweep"
+       & info [ "dir" ]
+           ~doc:"Sweep state directory: one shard-NNNN/ per shard (checkpoint + shard datafile), \
+                 the merged report.txt and datafile.json.")
 
 let resume_term =
   Arg.(value & flag
        & info [ "resume" ]
-           ~doc:"Resume the checkpoint in $(b,--dir), re-running only chunks not yet completed.  \
-                 The final report is bit-identical to an uninterrupted run.")
+           ~doc:"Resume the run in $(b,--dir): finished shards are skipped, the others re-run \
+                 only chunks not yet completed.  The final report is bit-identical to an \
+                 uninterrupted run.")
 
 let cache_dir_term =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ]
            ~doc:"Persistent oracle cache directory (default: RLIBM_ORACLE_CACHE, else \
-                 $(b,--dir)/cache).  Repeated sweeps skip Ziv's loop on every pattern already \
-                 settled there.")
+                 $(b,--dir)).  A 1-shard run opens its cache there, shared with other sweeps, \
+                 hard-case hunts and cached generations; a multi-shard run opens one \
+                 shard-NNNN/cache per shard under it.  Repeated sweeps skip Ziv's loop on every \
+                 pattern already settled there.")
 
-let verifier_term ~default =
+let verifier_term =
   Arg.(value
-       & opt (enum [ ("auto", `Auto); ("fast", `Fast); ("oracle", `Oracle) ]) default
+       & opt (enum [ ("auto", `Auto); ("fast", `Fast); ("oracle", `Oracle) ]) `Auto
        & info [ "verifier" ]
            ~doc:"Verification strategy: $(b,oracle) runs Ziv's arbitrary-precision loop on every \
                  pattern; $(b,fast) re-evaluates the compiled polynomial and certifies against \
@@ -664,23 +484,14 @@ let verifier_term ~default =
                  $(b,auto) picks fast exactly when that soundness condition holds.  The verdicts \
                  and the report are identical either way.")
 
-let sweep_cmd =
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Resumable checkpointed full-range sweep: validate every (strided) pattern of a \
-             target against the oracle, surviving kills and faulty chunks")
-    Term.(const sweep $ jobs_term $ quality_term $ prog_term $ mode_term $ sweep_tname
-          $ sweep_fname $ stride_term $ chunk_term $ ckpt_every_term $ retries_term $ dir_term
-          $ resume_term $ cache_dir_term $ verifier_term ~default:`Oracle)
-
 let shards_term =
-  Arg.(value & opt int 4
+  Arg.(value & opt int 1
        & info [ "shards" ]
            ~doc:"Contiguous chunk-aligned sub-ranges the pattern space is cut into.  Part of the \
                  shard state layout: resume and merge must use the same value.")
 
 let workers_term =
-  Arg.(value & opt int 2
+  Arg.(value & opt int 0
        & info [ "workers" ]
            ~doc:"Concurrent worker processes (fork-based).  0 runs the shards sequentially in \
                  this process (no fork).")
@@ -689,27 +500,28 @@ let shard_sel_term =
   Arg.(value & opt (some int) None
        & info [ "shard" ]
            ~doc:"Run only shard $(docv) of the plan in this process, then exit — the manual \
-                 worker invocation (one machine of a distributed campaign, or a smoke test's \
-                 kill target).  Merge separately with $(b,--merge).")
+                 worker invocation (one machine of a distributed run, or a smoke test's kill \
+                 target).  Merge separately with $(b,--merge).")
 
 let merge_term =
   Arg.(value & flag
        & info [ "merge" ]
-           ~doc:"Run nothing: load the shard reports under $(b,--dir), refuse overlaps/gaps, and \
-                 write the merged campaign report.")
+           ~doc:"Run nothing: read the shard datafiles under $(b,--dir), refuse overlaps, gaps \
+                 and tables drift, and write the merged report.")
 
-let campaign_cmd =
+let sweep_cmd =
   Cmd.v
-    (Cmd.info "campaign"
-       ~doc:"Sharded certification campaign: cut the pattern space into chunk-aligned shards, \
-             sweep each in its own worker process with its own checkpoint (surviving worker \
-             kills), and merge the shard reports into one campaign verdict.  The fast verifier \
-             certifies most inputs without the Ziv oracle; the merged report is byte-identical \
-             at any shard/worker count and under either verifier.")
-    Term.(const campaign $ jobs_term $ quality_term $ prog_term $ mode_term $ sweep_tname
+    (Cmd.info "sweep"
+       ~doc:"Resumable, checkpointed, shardable certification sweep: validate every (strided) \
+             pattern of a target against the oracle, surviving kills and faulty chunks.  The \
+             pattern space is cut into chunk-aligned shards (one by default), each swept with \
+             its own checkpoint, in this process or in forked workers, and the shard datafiles \
+             merge into one verdict.  The report is byte-identical at any shard/worker count \
+             and under either verifier.")
+    Term.(const sweep $ jobs_term $ quality_term $ prog_term $ mode_term $ sweep_tname
           $ sweep_fname $ stride_term $ chunk_term $ ckpt_every_term $ retries_term $ dir_term
-          $ resume_term $ cache_dir_term $ verifier_term ~default:`Auto $ shards_term
-          $ workers_term $ shard_sel_term $ merge_term)
+          $ resume_term $ cache_dir_term $ verifier_term $ shards_term $ workers_term
+          $ shard_sel_term $ merge_term)
 
 let derived_cmd =
   Cmd.v
@@ -722,4 +534,4 @@ let () =
   let info = Cmd.info "check" ~doc:"RLIBM-32 correctness experiments (Tables 1-2)" in
   exit
     (Cmd.eval
-       (Cmd.group info [ table1_cmd; table2_cmd; table16_cmd; derived_cmd; sweep_cmd; campaign_cmd ]))
+       (Cmd.group info [ table1_cmd; table2_cmd; table16_cmd; derived_cmd; sweep_cmd ]))

@@ -1,5 +1,5 @@
 (* Versioned run datafiles — the one artifact schema shared by the
-   benchmark suite, sweep, campaign, serve and generate, with read,
+   benchmark suite, sweep, serve and generate, with read,
    write and merge as first-class operations (the Herbie datafile
    discipline).
 
@@ -13,12 +13,12 @@
    never emits a raw newline inside a string value (control characters
    are escaped), so that byte sequence cannot occur earlier in the file.
 
-   [merge] exists for shards: campaign shard verdicts and multi-shard
-   bench runs combine into one datafile only when their rows tile the
-   item space exactly under one identity.  Overlap, gap and identity
-   drift are refused — a quiet verdict over mixed or missing inputs
-   would be a false certification (same stance as Campaign.Report,
-   whose merge is built on [merge_rows]).
+   [merge] exists for shards: sweep shard verdicts (lib/campaign welds
+   its shard rows with [merge_rows]) and multi-shard bench runs combine
+   into one datafile only when their rows tile the item space exactly
+   under one identity.  Overlap, gap, identity and tables drift are
+   refused — a quiet verdict over mixed or missing inputs would be a
+   false certification.
 
    Only schema-v1 documents are read; anything without a
    "schema_version" field is refused as not a schema-v1 datafile.
@@ -606,10 +606,10 @@ let merge (a : t) (b : t) : (t, string) result =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Canonical campaign report text.  Byte-compatible with               *)
-(* Campaign.Report.text: a campaign must reproduce this at any shard   *)
-(* count, any worker count, fast or oracle verifier — so it carries no *)
-(* timings, shard counts or verifier counters.                         *)
+(* Canonical campaign report text (a sweep's report.txt): a run must   *)
+(* reproduce this at any shard count, any worker count, fast or oracle *)
+(* verifier — so it carries no timings, shard counts or verifier       *)
+(* counters.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let campaign_text (r : row) : string =

@@ -4,7 +4,7 @@
     A datafile is a JSON document (schema version {!schema_version})
     capturing one run's identity (rev, date, seed, config), its machine
     context (jobs/cpus/ocaml), and rows of (kind, function, repr, mode)
-    results — generation statistics, sweep/campaign verdicts, serving
+    results — generation statistics, sweep verdicts, serving
     SLOs, benchmark metrics.  The encoding carries a trailing FNV-1a
     checksum over the body; {!read} refuses truncated, corrupted,
     foreign or future-versioned files with a message instead of
@@ -27,7 +27,7 @@ type mismatch = { pattern : int; got : int; want : int }
 type span = { lo : int; hi : int; n_items : int; chunk_size : int }
 
 type row = {
-  kind : string;  (* "benchmark" | "generate" | "sweep" | "campaign" | "serve" *)
+  kind : string;  (* "benchmark" | "generate" | "sweep" | "serve" *)
   func : string;
   repr : string;
   mode : string;
@@ -98,10 +98,10 @@ val merge : t -> t -> (t, string) result
 (* ------------------------------------------------------------------ *)
 
 val campaign_text : row -> string
-(** The canonical certification report for a (merged) campaign row —
-    byte-identical to [Campaign.Report.text] over the same verdicts:
-    identity line, mismatches, quarantined ranges, totals.  Free of
-    timings and shard counts on purpose. *)
+(** The canonical certification report for a (merged) sweep row — the
+    report.txt of [check sweep]: identity line, mismatches, quarantined
+    ranges, totals.  Free of timings and shard counts on purpose, so it
+    is byte-identical at any shard count. *)
 
 (* ------------------------------------------------------------------ *)
 (* Producer helpers.                                                   *)

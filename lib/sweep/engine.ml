@@ -74,6 +74,8 @@ let run ~dir ~identity ~n ?(chunk_size = default_chunk_size) ?(max_retries = 2)
     ?(progress : (progress -> unit) option) (f : lo:int -> hi:int -> C.mismatch list) :
     (outcome, string) result =
   if n <= 0 then Error "sweep: empty item space"
+  else if checkpoint_every < 1 then
+    Error (Printf.sprintf "sweep: checkpoint_every must be at least 1 (got %d)" checkpoint_every)
   else begin
     Oracle_cache.mkdir_p dir;
     let path = checkpoint_path dir in

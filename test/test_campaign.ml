@@ -5,7 +5,8 @@
      the campaign report must be byte-identical to an uninterrupted
      single-shard run (and to a forked multi-worker run);
    - merge hygiene: order-insensitive byte-identical merges; overlapping,
-     missing, foreign and geometry-skewed shard reports refused loudly;
+     missing, foreign, geometry-skewed and other-tables shard rows
+     refused loudly; a torn shard datafile re-run, never trusted;
    - the fast verifier itself: differential against the Ziv oracle — on
      every verdict, for bfloat16/float16 log2/exp under all five standard
      rounding modes.  A disagreement is a test failure, never a fallback:
@@ -23,7 +24,7 @@ module C = Sweep.Checkpoint
 module V = Sweep.Verify
 module G = Rlibm.Generator
 module P = Campaign.Plan
-module R = Campaign.Report
+module D = Datafile
 
 let fresh_dir =
   let ctr = ref 0 in
@@ -68,10 +69,11 @@ let synth ~lo ~hi =
   !ms
 
 let synth_job ~shard:_ = { Campaign.f = synth; cache = None; counters = None }
+let key = { Campaign.func = "synth"; repr = "test"; mode = "rne"; tables_hash = "fnv1a:test" }
 
 let run_campaign ?(shards = 1) ?(resume = false) ?(exec = Campaign.In_process) dir =
   match
-    Campaign.run ~dir ~identity ~n:n_items ~shards ~chunk_size ~checkpoint_every:4 ~jobs:1
+    Campaign.run ~dir ~identity ~key ~n:n_items ~shards ~chunk_size ~checkpoint_every:4 ~jobs:1
       ~resume ~exec ~job:synth_job ()
   with
   | Ok o -> o
@@ -99,7 +101,7 @@ let test_sigkill_resume_merge () =
   in
   (* Shard 0 runs to completion up front. *)
   (match
-     Campaign.run_shard ~dir ~identity ~plan ~shard:0 ~checkpoint_every:4 ~jobs:1
+     Campaign.run_shard ~dir ~identity ~key ~plan ~shard:0 ~checkpoint_every:4 ~jobs:1
        (synth_job ~shard:0)
    with
   | Ok _ -> ()
@@ -122,7 +124,7 @@ let test_sigkill_resume_merge () =
   if pid = 0 then begin
     (try
        ignore
-         (Campaign.run_shard ~dir ~identity ~plan ~shard:1 ~checkpoint_every:4 ~jobs:1
+         (Campaign.run_shard ~dir ~identity ~key ~plan ~shard:1 ~checkpoint_every:4 ~jobs:1
             (slow_job ~shard:1))
      with _ -> ());
     Unix._exit 0
@@ -142,9 +144,9 @@ let test_sigkill_resume_merge () =
   wait ();
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
-  Alcotest.(check bool) "killed worker left no shard report" false
-    (Sys.file_exists (R.path ~shard_dir:(P.shard_dir dir 1)));
-  (* Resume the campaign: shard 0 skipped (report intact), shard 1
+  Alcotest.(check bool) "killed worker left no shard datafile" false
+    (Sys.file_exists (Campaign.shard_datafile dir 1));
+  (* Resume the campaign: shard 0 skipped (datafile intact), shard 1
      resumed from its checkpoint; then the auto-merge. *)
   let o = run_campaign ~shards:2 ~resume:true dir in
   Alcotest.(check string) "resumed 2-shard report == uninterrupted 1-shard report" ref_text
@@ -155,7 +157,6 @@ let test_forked_workers_match_in_process () =
   let _, ref_text = Lazy.force reference in
   let dir = fresh_dir "camp_fork" in
   let o = run_campaign ~shards:3 ~exec:(Campaign.Fork 2) dir in
-  Alcotest.(check int) "three shards merged" 3 o.merged.m_n_shards;
   Alcotest.(check string) "forked 3-shard report == 1-shard report" ref_text
     (read_file o.report_path);
   rm_rf dir
@@ -187,47 +188,48 @@ let test_plan_tiles_and_aligns () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an empty item space"
 
-(* Hand-built shard reports over a 3-shard tiling of [0, 300). *)
-let shard_report ?(identity = "m") ?(n_items = 300) ?(chunk_size = 50) ~lo ~hi () =
+(* Hand-built shard rows over a 3-shard tiling of [0, 300), shaped like
+   the rows Campaign.run_shard writes. *)
+let shard_row ?(identity = "m") ?(n_items = 300) ?(chunk_size = 50) ~lo ~hi () =
   {
-    R.identity;
-    n_items;
-    chunk_size;
-    lo;
-    hi;
-    mismatches = [| { C.pattern = lo + 1; got = 0; want = 1 } |];
+    D.kind = "sweep";
+    func = key.func;
+    repr = key.repr;
+    mode = key.mode;
+    identity;
+    tables_hash = key.tables_hash;
+    span = Some { D.lo; hi; n_items; chunk_size };
+    metrics =
+      [ ("fast", float_of_int (hi - lo - 10)); ("escalated", 10.0); ("busy_seconds", 1.5) ];
+    mismatches = [| { D.pattern = lo + 1; got = 0; want = 1 } |];
     quarantined = [| (lo + 10, lo + 20, Printf.sprintf "fault@%d" lo) |];
-    fast = hi - lo - 10;
-    escalated = 10;
-    wall_seconds = 1.5;
   }
 
 let test_merge_order_insensitive () =
-  let a = shard_report ~lo:0 ~hi:100 () in
-  let b = shard_report ~lo:100 ~hi:250 () in
-  let c = shard_report ~lo:250 ~hi:300 () in
+  let a = shard_row ~lo:0 ~hi:100 () in
+  let b = shard_row ~lo:100 ~hi:250 () in
+  let c = shard_row ~lo:250 ~hi:300 () in
+  let merge perm =
+    match D.merge_rows perm with
+    | Ok m -> m
+    | Error msg -> Alcotest.failf "merge refused a valid tiling: %s" msg
+  in
   let texts =
-    List.map
-      (fun perm ->
-        match R.merge perm with
-        | Ok m -> R.text m
-        | Error msg -> Alcotest.failf "merge refused a valid tiling: %s" msg)
-      [ [ a; b; c ]; [ c; a; b ]; [ b; c; a ]; [ c; b; a ] ]
+    List.map (fun perm -> D.campaign_text (merge perm)) [ [ a; b; c ]; [ c; a; b ]; [ b; c; a ]; [ c; b; a ] ]
   in
   List.iter
     (fun t -> Alcotest.(check string) "permutation byte-identical" (List.hd texts) t)
     (List.tl texts);
   (* Counters aggregate regardless of order. *)
-  match R.merge [ c; a; b ] with
-  | Error m -> Alcotest.fail m
-  | Ok m ->
-      Alcotest.(check int) "fast summed" (a.R.fast + b.R.fast + c.R.fast) m.R.m_fast;
-      Alcotest.(check int) "escalated summed" 30 m.R.m_escalated;
-      Alcotest.(check int) "mismatches concatenated ascending" 3 (Array.length m.R.m_mismatches);
-      Alcotest.(check bool) "busy time summed" true (abs_float (m.R.m_busy_seconds -. 4.5) < 1e-9)
+  let m = merge [ c; a; b ] in
+  let metric k = List.assoc k m.D.metrics in
+  Alcotest.(check (float 0.0)) "fast summed" 270.0 (metric "fast");
+  Alcotest.(check (float 0.0)) "escalated summed" 30.0 (metric "escalated");
+  Alcotest.(check int) "mismatches concatenated ascending" 3 (Array.length m.D.mismatches);
+  Alcotest.(check (float 1e-9)) "busy time summed" 4.5 (metric "busy_seconds")
 
-let expect_merge_error ~what reports =
-  match R.merge reports with
+let expect_merge_error ~what rows =
+  match D.merge_rows rows with
   | Error msg ->
       Alcotest.(check bool)
         (Printf.sprintf "error names the problem (%s): %s" what msg)
@@ -236,73 +238,67 @@ let expect_merge_error ~what reports =
   | Ok _ -> Alcotest.failf "merge accepted %s" what
 
 let test_merge_rejections () =
-  let a = shard_report ~lo:0 ~hi:100 () in
-  let c = shard_report ~lo:250 ~hi:300 () in
-  expect_merge_error ~what:"an empty report list" [];
+  let a = shard_row ~lo:0 ~hi:100 () in
+  let c = shard_row ~lo:250 ~hi:300 () in
+  expect_merge_error ~what:"an empty row list" [];
   expect_merge_error ~what:"a gap" [ a; c ];
-  expect_merge_error ~what:"a missing tail"
-    [ a; shard_report ~lo:100 ~hi:250 () ];
-  expect_merge_error ~what:"an overlap"
-    [ a; shard_report ~lo:50 ~hi:300 () ];
-  expect_merge_error ~what:"a foreign campaign"
-    [ a; shard_report ~identity:"other" ~lo:100 ~hi:300 () ];
-  expect_merge_error ~what:"disagreeing geometry"
-    [ a; shard_report ~chunk_size:25 ~lo:100 ~hi:300 () ]
+  expect_merge_error ~what:"a missing tail" [ a; shard_row ~lo:100 ~hi:250 () ];
+  expect_merge_error ~what:"an overlap" [ a; shard_row ~lo:50 ~hi:300 () ];
+  expect_merge_error ~what:"a foreign campaign" [ a; shard_row ~identity:"other" ~lo:100 ~hi:300 () ];
+  expect_merge_error ~what:"disagreeing geometry" [ a; shard_row ~chunk_size:25 ~lo:100 ~hi:300 () ]
 
-let qcheck_shard_report_roundtrip =
-  QCheck.Test.make ~name:"shard report encode/decode roundtrip" ~count:200 QCheck.unit
-    (let st = Random.State.make [| 7 |] in
-     fun () ->
-       let lo = Random.State.int st 1000 in
-       let hi = lo + 1 + Random.State.int st 1000 in
-       let r =
-         {
-           R.identity = String.init (Random.State.int st 40) (fun _ -> Char.chr (32 + Random.State.int st 95));
-           n_items = hi + Random.State.int st 100;
-           chunk_size = 1 + Random.State.int st 64;
-           lo;
-           hi;
-           mismatches =
-             Array.init (Random.State.int st 5) (fun _ ->
-                 {
-                   C.pattern = Random.State.int st 0x10000;
-                   got = Random.State.int st 0x10000;
-                   want = Random.State.int st 0x10000;
-                 });
-           quarantined =
-             Array.init (Random.State.int st 3) (fun k ->
-                 (lo + (k * 10), lo + (k * 10) + 5, "err"));
-           fast = Random.State.int st 10000;
-           escalated = Random.State.int st 10000;
-           wall_seconds = Random.State.float st 100.0;
-         }
-       in
-       match R.decode (R.encode r) with
-       | Ok r' -> r = r'
-       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
+let plan_of shards =
+  match P.make ~n_items ~chunk_size ~shards with Ok p -> p | Error m -> Alcotest.fail m
 
-let qcheck_shard_report_corruption =
-  QCheck.Test.make ~name:"shard report: one flipped byte is rejected" ~count:200 QCheck.unit
-    (let st = Random.State.make [| 8 |] in
-     fun () ->
-       let enc =
-         Bytes.of_string (R.encode (shard_report ~lo:(Random.State.int st 50) ~hi:100 ()))
-       in
-       let i = Random.State.int st (Bytes.length enc) in
-       Bytes.set enc i (Char.chr (Char.code (Bytes.get enc i) lxor (1 lsl Random.State.int st 8)));
-       match R.decode (Bytes.to_string enc) with
-       | Error _ -> true
-       | Ok _ -> QCheck.Test.fail_reportf "corrupted byte %d accepted" i)
+(* A campaign resumed after the tables changed must not weld verdicts
+   about two different artifacts into one certificate. *)
+let test_merge_refuses_tables_drift () =
+  let dir = fresh_dir "camp_tables" in
+  let plan = plan_of 2 in
+  List.iter
+    (fun (shard, tables_hash) ->
+      match
+        Campaign.run_shard ~dir ~identity ~key:{ key with tables_hash } ~plan ~shard
+          ~checkpoint_every:4 ~jobs:1 (synth_job ~shard)
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "shard %d: %s" shard m)
+    [ (0, "fnv1a:aa"); (1, "fnv1a:bb") ];
+  (match Campaign.merge_only ~dir ~identity ~n:n_items ~shards:2 ~chunk_size () with
+  | Error msg ->
+      Alcotest.(check bool) ("error names the tables: " ^ msg) true
+        (let rec at i = i + 6 <= String.length msg && (String.sub msg i 6 = "tables" || at (i + 1)) in
+         at 0)
+  | Ok _ -> Alcotest.fail "merged shards certified against different tables");
+  rm_rf dir
+
+(* A torn shard datafile is not a completion record: resume re-runs that
+   shard (from its finished checkpoint) and the report is unchanged. *)
+let test_torn_shard_datafile_reruns () =
+  let _, ref_text = Lazy.force reference in
+  let dir = fresh_dir "camp_torn" in
+  ignore (run_campaign ~shards:2 dir);
+  let path = Campaign.shard_datafile dir 1 in
+  let whole = read_file path in
+  let oc = open_out_bin path in
+  output_string oc (String.sub whole 0 (String.length whole / 2));
+  close_out oc;
+  let o = run_campaign ~shards:2 ~resume:true dir in
+  Alcotest.(check bool) "torn shard datafile rewritten" true
+    (Result.is_ok (D.read ~path));
+  Alcotest.(check string) "report == uninterrupted 1-shard report" ref_text
+    (read_file o.report_path);
+  rm_rf dir
 
 let test_campaign_refuses_unflagged_restart () =
   let dir = fresh_dir "camp_restart" in
   ignore (run_campaign ~shards:2 dir);
   (match
-     Campaign.run ~dir ~identity ~n:n_items ~shards:2 ~chunk_size ~jobs:1
+     Campaign.run ~dir ~identity ~key ~n:n_items ~shards:2 ~chunk_size ~jobs:1
        ~exec:Campaign.In_process ~job:synth_job ()
    with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "silently restarted over shard reports");
+  | Ok _ -> Alcotest.fail "silently restarted over shard results");
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -390,7 +386,7 @@ let test_full_bf16_fast_vs_oracle () =
       { Campaign.f = V.sweep_fn v ~stride:1 (); cache = None; counters = Some counters }
     in
     match
-      Campaign.run ~dir ~identity:id ~n ~shards:2 ~chunk_size:1024 ~jobs:1
+      Campaign.run ~dir ~identity:id ~key ~n ~shards:2 ~chunk_size:1024 ~jobs:1
         ~exec:Campaign.In_process ~job ()
     with
     | Error msg -> Alcotest.failf "campaign: %s" msg
@@ -402,8 +398,9 @@ let test_full_bf16_fast_vs_oracle () =
   let mf, ft = run `Fast in
   let _, ot = run `Oracle in
   Alcotest.(check string) "fast report == oracle report" ot ft;
-  Alcotest.(check int) "no mismatches" 0 (Array.length mf.R.m_mismatches);
-  let pct = 100.0 *. float_of_int mf.R.m_fast /. float_of_int (mf.R.m_fast + mf.R.m_escalated) in
+  Alcotest.(check int) "no mismatches" 0 (Array.length mf.D.mismatches);
+  let fast = List.assoc "fast" mf.D.metrics and escalated = List.assoc "escalated" mf.D.metrics in
+  let pct = 100.0 *. fast /. (fast +. escalated) in
   Alcotest.(check bool)
     (Printf.sprintf ">= 95%% oracle-free (got %.2f%%)" pct)
     true (pct >= 95.0)
@@ -425,8 +422,10 @@ let () =
           Alcotest.test_case "plans tile and chunk-align" `Quick test_plan_tiles_and_aligns;
           Alcotest.test_case "merge is order-insensitive" `Quick test_merge_order_insensitive;
           Alcotest.test_case "merge refuses overlap/gap/foreign" `Quick test_merge_rejections;
-          QCheck_alcotest.to_alcotest qcheck_shard_report_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_shard_report_corruption;
+          Alcotest.test_case "merge refuses shards of different tables" `Quick
+            test_merge_refuses_tables_drift;
+          Alcotest.test_case "torn shard datafile is re-run on resume" `Quick
+            test_torn_shard_datafile_reruns;
           Alcotest.test_case "refuses restart without resume" `Quick
             test_campaign_refuses_unflagged_restart;
         ] );

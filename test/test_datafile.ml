@@ -277,55 +277,6 @@ let test_merge_files () =
       Alcotest.(check bool) "host drops on disagreement" true (m.D.host = None);
       Alcotest.(check int) "rows welded" 1 (List.length m.D.rows)
 
-(* ------------------------------------------------------------------ *)
-(* 2-shard campaign == 1-shard campaign, through Datafile.merge.        *)
-(* ------------------------------------------------------------------ *)
-
-let shard_report ~lo ~hi ~mismatches ~quarantined ~fast ~escalated ~wall =
-  {
-    Campaign.Report.identity = "bfloat16 log2 rne n=100 chunk=10";
-    n_items = 100;
-    chunk_size = 10;
-    lo;
-    hi;
-    mismatches;
-    quarantined;
-    fast;
-    escalated;
-    wall_seconds = wall;
-  }
-
-let test_campaign_two_shards_byte_identical () =
-  let m1 = { Sweep.Checkpoint.pattern = 0x11; got = 1; want = 2 } in
-  let m2 = { Sweep.Checkpoint.pattern = 0xbeef; got = 3; want = 4 } in
-  let r1 = shard_report ~lo:0 ~hi:50 ~mismatches:[| m1 |] ~quarantined:[| (7, 8, "x") |] ~fast:45 ~escalated:4 ~wall:1.0 in
-  let r2 = shard_report ~lo:50 ~hi:100 ~mismatches:[| m2 |] ~quarantined:[||] ~fast:49 ~escalated:0 ~wall:2.0 in
-  let r_full =
-    shard_report ~lo:0 ~hi:100 ~mismatches:[| m1; m2 |] ~quarantined:[| (7, 8, "x") |] ~fast:94
-      ~escalated:4 ~wall:3.0
-  in
-  let text reports =
-    match Campaign.Report.merge reports with
-    | Error msg -> Alcotest.fail msg
-    | Ok m -> Campaign.Report.text m
-  in
-  let one = text [ r_full ] and two = text [ r1; r2 ] in
-  Alcotest.(check string) "sharding is invisible in the report" one two;
-  (* Same weld through the datafile layer: per-shard datafiles merged by
-     Datafile.merge render the identical canonical report. *)
-  let df r = file [ Campaign.Report.row_of_report r ] in
-  (match D.merge (df r1) (df r2) with
-  | Error msg -> Alcotest.fail msg
-  | Ok merged -> (
-      match merged.D.rows with
-      | [ r ] -> Alcotest.(check string) "datafile merge renders the same text" one (D.campaign_text r)
-      | rows -> Alcotest.fail (Printf.sprintf "expected 1 merged row, got %d" (List.length rows))));
-  match Campaign.Report.merge [ r_full ] with
-  | Error msg -> Alcotest.fail msg
-  | Ok m ->
-      Alcotest.(check string) "row_of_merged renders text verbatim" one
-        (D.campaign_text (Campaign.Report.row_of_merged m))
-
 let () =
   Alcotest.run "datafile"
     [
@@ -356,10 +307,5 @@ let () =
             test_merge_incomplete_singleton_refused;
           Alcotest.test_case "file identity drift refused" `Quick test_merge_file_drift_refused;
           Alcotest.test_case "file-level merge" `Quick test_merge_files;
-        ] );
-      ( "campaign",
-        [
-          Alcotest.test_case "2 shards == 1 shard, byte-identical" `Quick
-            test_campaign_two_shards_byte_identical;
         ] );
     ]

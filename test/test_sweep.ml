@@ -233,6 +233,18 @@ let test_engine_refuses_unflagged_restart () =
   | Ok _ -> Alcotest.fail "resumed with different geometry");
   rm_rf dir
 
+(* An empty batch never drains the queue: the engine must refuse the
+   setting up front instead of rewriting the checkpoint forever. *)
+let test_engine_refuses_empty_batches () =
+  let dir = fresh_dir "ckpt_every" in
+  List.iter
+    (fun every ->
+      match E.run ~dir ~identity:"batch" ~n:2048 ~chunk_size:32 ~checkpoint_every:every ~jobs:1 synth with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted checkpoint_every = %d" every)
+    [ 0; -1 ];
+  rm_rf dir
+
 let test_engine_retries_then_succeeds () =
   (* Chunk [64,96) fails on its first attempt only; jobs=1 keeps the
      attempt table single-domain. *)
@@ -494,6 +506,8 @@ let () =
           Alcotest.test_case "bit-identical at jobs 1/2/4" `Quick test_engine_jobs_invariant;
           Alcotest.test_case "refuses restart without --resume" `Quick
             test_engine_refuses_unflagged_restart;
+          Alcotest.test_case "refuses checkpoint_every < 1" `Quick
+            test_engine_refuses_empty_batches;
           Alcotest.test_case "retries transient chunk failures" `Quick
             test_engine_retries_then_succeeds;
           Alcotest.test_case "quarantines persistent failures" `Quick
