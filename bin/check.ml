@@ -25,32 +25,9 @@ let value_equal (module T : R.S) a b =
 type lib = { lname : string; eval : int -> int }
 
 let libraries (t : Funcs.Specs.target) name (g : G.generated) =
-  let module T = (val t.repr) in
-  let spec = g.spec in
-  (* A baseline that does not implement [name] (the native simulations
-     have no radian-trig path, for instance) drops its row from the
-     table instead of aborting the whole run. *)
-  let if_known lname mk =
-    try Some { lname; eval = mk () } with Invalid_argument _ -> None
-  in
-  List.filter_map Fun.id
-    [
-      Some { lname = "rlibm-32"; eval = G.eval_pattern g };
-      if_known "libm-float(native)" (fun () ->
-          Baselines.Native.eval_pattern Baselines.Native.F32 t name);
-      if_known "libm-double(native)" (fun () ->
-          Baselines.Native.eval_pattern Baselines.Native.F64 t name);
-      if_known "glibc-double" (fun () -> Baselines.Double_libm.eval t.repr name);
-      Some
-        {
-          lname = "crlibm(double-rounded)";
-          eval =
-            (fun pat ->
-              match spec.special pat with
-              | Some y -> y
-              | None -> Baselines.Crlibm_analog.round_via_double t.repr spec.oracle pat);
-        };
-    ]
+  List.filter_map
+    (fun (lname, eval) -> Option.map (fun eval -> { lname; eval }) eval)
+    (Comparators.all t name g)
 
 let check_function (t : Funcs.Specs.target) name ~fresh_per_stratum ~quality =
   let module T = (val t.repr) in
@@ -312,17 +289,25 @@ let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir
     let m = o.merged in
     let metric k = Option.value ~default:0.0 (List.assoc_opt k m.metrics) in
     let quarantined_items = Array.fold_left (fun a (lo, hi, _) -> a + (hi - lo)) 0 m.quarantined in
-    Rlibm.Stats.pp_campaign Format.std_formatter
-      {
-        Rlibm.Stats.c_items = n - quarantined_items;
-        c_shards = Campaign.Plan.n_shards o.plan;
-        c_busy_seconds = metric "busy_seconds";
-        c_wall_seconds = o.wall_seconds;
-        c_fast = int_of_float (metric "fast");
-        c_escalated = int_of_float (metric "escalated");
-        c_mismatches = Array.length m.mismatches;
-        c_quarantined = Array.length m.quarantined;
-      };
+    let c_shards = Campaign.Plan.n_shards o.plan in
+    if List.mem_assoc "busy_seconds" m.metrics then
+      Rlibm.Stats.pp_campaign Format.std_formatter
+        {
+          Rlibm.Stats.c_items = n - quarantined_items;
+          c_shards;
+          c_busy_seconds = metric "busy_seconds";
+          c_wall_seconds = o.wall_seconds;
+          c_fast = int_of_float (metric "fast");
+          c_escalated = int_of_float (metric "escalated");
+          c_mismatches = Array.length m.mismatches;
+          c_quarantined = Array.length m.quarantined;
+        }
+    else
+      Printf.printf
+        "  campaign %d items over %d shards: %d mismatches, %d quarantined ranges, %.1fs wall \
+         (no throughput counters: a shard resumed checkpointed work)\n"
+        (n - quarantined_items) c_shards (Array.length m.mismatches) (Array.length m.quarantined)
+        o.wall_seconds;
     Array.iter
       (fun (lo, hi, msg) -> Printf.printf "  QUARANTINED points %d..%d: %s\n" lo (hi - 1) msg)
       m.quarantined;

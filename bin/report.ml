@@ -25,23 +25,7 @@ let correctness (t : Funcs.Specs.target) quality names =
       | g ->
           let module T = (val t.repr) in
           let spec = g.G.spec in
-          (* A baseline that does not implement [name] (the native
-             simulations have no radian-trig path, for instance) is an
-             absent column, printed as "-", not an aborted report. *)
-          let if_known mk = try Some (mk ()) with Invalid_argument _ -> None in
-          let libs =
-            [|
-              Some (G.eval_pattern g);
-              if_known (fun () -> Baselines.Native.eval_pattern Baselines.Native.F32 t name);
-              if_known (fun () -> Baselines.Native.eval_pattern Baselines.Native.F64 t name);
-              if_known (fun () -> Baselines.Double_libm.eval t.repr name);
-              Some
-                (fun pat ->
-                  match spec.special pat with
-                  | Some y -> y
-                  | None -> Baselines.Crlibm_analog.round_via_double t.repr spec.oracle pat);
-            |]
-          in
+          let libs = Array.of_list (List.map snd (Comparators.all t name g)) in
           let truth pat =
             match spec.special pat with
             | Some y -> y

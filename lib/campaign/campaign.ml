@@ -26,7 +26,8 @@
    datafile, shard-NNNN/datafile.json (atomic and checksummed, see
    Datafile.write).  Its single row carries the run key, the shard's
    span, its verdicts in campaign-global coordinates (item ranges and
-   pattern values, never shard-local) and its summable counters.  The
+   pattern values, never shard-local) and its summable counters — the
+   latter only when the shard ran whole in one invocation.  The
    file is the shard's completion record: resume skips a shard whose
    file reads back cleanly under this identity and span, so a torn or
    foreign file only costs a re-run.  The merge is Datafile.merge_rows
@@ -55,7 +56,9 @@ type key = { func : string; repr : string; mode : string; tables_hash : string }
 
 type outcome = {
   plan : Plan.t;
-  merged : Datafile.row;  (* span [0, n_items), counters summed over shards *)
+  merged : Datafile.row;
+      (* span [0, n_items); counters summed over shards, or absent when
+         a shard resumed checkpointed work *)
   report_path : string;
   datafile_path : string;
   wall_seconds : float;  (* driver wall clock for this invocation *)
@@ -86,66 +89,89 @@ let write_datafile ~path ~identity ?jobs (row : Datafile.row) =
       rows = [ row ];
     }
 
-(** Run one shard to completion in this process and persist its row.
-    Resumes the shard's own engine checkpoint under [resume]. *)
-let run_shard ~dir ~identity ~key ~(plan : Plan.t) ~shard ?(max_retries = 2)
-    ?(checkpoint_every = Sweep.Engine.default_checkpoint_every) ?jobs ?(resume = false) ?progress
-    (j : job) : (Datafile.row, string) result =
-  let span = shard_span plan shard in
-  let lo = span.lo in
-  let count get = match j.counters with Some c -> get c | None -> 0 in
-  let fast0 = count Sweep.Verify.fast and esc0 = count Sweep.Verify.escalated in
-  let f ~lo:l ~hi:h = j.f ~lo:(l + lo) ~hi:(h + lo) in
-  let r =
-    Sweep.Engine.run ~dir:(Plan.shard_dir dir shard)
-      ~identity:(Printf.sprintf "%s shard=[%d,%d)" identity lo span.hi)
-      ~n:(span.hi - lo) ~chunk_size:plan.chunk_size ~max_retries ~checkpoint_every ?jobs ~resume
-      ?cache:j.cache ?verify:j.counters ?progress f
-  in
-  (match j.cache with Some c -> Sweep.Oracle_cache.close c | None -> ());
-  match r with
-  | Error msg -> Error (Printf.sprintf "shard %d: %s" shard msg)
-  | Ok o ->
-      let int_metric k v = (k, float_of_int v) in
-      let row =
-        {
-          Datafile.kind = "sweep";
-          func = key.func;
-          repr = key.repr;
-          mode = key.mode;
-          identity;
-          tables_hash = key.tables_hash;
-          span = Some span;
-          metrics =
-            [
-              int_metric "fast" (count Sweep.Verify.fast - fast0);
-              int_metric "escalated" (count Sweep.Verify.escalated - esc0);
-              ("busy_seconds", o.stats.wall_seconds);
-              int_metric "retry_attempts" o.stats.retry_attempts;
-              int_metric "cache_hits" o.stats.cache_hits;
-              int_metric "cache_misses" o.stats.cache_misses;
-            ];
-          mismatches =
-            Array.map
-              (fun (m : Sweep.Checkpoint.mismatch) ->
-                { Datafile.pattern = m.pattern; got = m.got; want = m.want })
-              o.mismatches;
-          quarantined =
-            Array.of_list
-              (List.map (fun (_ci, qlo, qhi, msg) -> (qlo + lo, qhi + lo, msg)) o.quarantined);
-        }
-      in
-      write_datafile ~path:(shard_datafile dir shard) ~identity ?jobs row;
-      Ok row
-
 (* A shard whose datafile reads back cleanly with this run's identity
    and this shard's span is complete; anything else (absent, torn,
    foreign) means the shard still has work.  The engine's own
    identity/geometry checks guard the checkpoint underneath. *)
-let shard_done ~identity ~(plan : Plan.t) ~dir s =
+let done_row ~identity ~(plan : Plan.t) ~dir s =
   match Datafile.read ~path:(shard_datafile dir s) with
-  | Ok { rows = [ r ]; _ } -> r.identity = identity && r.span = Some (shard_span plan s)
-  | Ok _ | Error _ -> false
+  | Ok { rows = [ r ]; _ } when r.identity = identity && r.span = Some (shard_span plan s) -> Some r
+  | Ok _ | Error _ -> None
+
+let shard_done ~identity ~plan ~dir s = Option.is_some (done_row ~identity ~plan ~dir s)
+
+(** Run one shard to completion in this process and persist its row.
+    Resumes the shard's own engine checkpoint under [resume]; a shard
+    already complete is not re-run and keeps its row. *)
+let run_shard ~dir ~identity ~key ~(plan : Plan.t) ~shard ?(max_retries = 2)
+    ?(checkpoint_every = Sweep.Engine.default_checkpoint_every) ?jobs ?(resume = false) ?progress
+    (j : job) : (Datafile.row, string) result =
+  match if resume then done_row ~identity ~plan ~dir shard else None with
+  | Some r ->
+      Option.iter Sweep.Oracle_cache.close j.cache;
+      Ok r
+  | None ->
+      let span = shard_span plan shard in
+      let lo = span.lo in
+      let count get = match j.counters with Some c -> get c | None -> 0 in
+      let fast0 = count Sweep.Verify.fast and esc0 = count Sweep.Verify.escalated in
+      let f ~lo:l ~hi:h = j.f ~lo:(l + lo) ~hi:(h + lo) in
+      (* The counters below cover this invocation only.  A shard that picks
+         up checkpointed work would under-count, so its row leaves them out
+         (and the merge drops a counter any shard row lacks). *)
+      let whole =
+        (not resume)
+        ||
+        let path = Sweep.Engine.checkpoint_path (Plan.shard_dir dir shard) in
+        match Sweep.Checkpoint.load ~path with
+        | Ok cp ->
+            Array.for_all (( = ) Sweep.Checkpoint.Pending) cp.state
+            && Array.for_all (( = ) 0) cp.retries
+        | Error _ -> true
+      in
+      let r =
+        Sweep.Engine.run ~dir:(Plan.shard_dir dir shard)
+          ~identity:(Printf.sprintf "%s shard=[%d,%d)" identity lo span.hi)
+          ~n:(span.hi - lo) ~chunk_size:plan.chunk_size ~max_retries ~checkpoint_every ?jobs ~resume
+          ?cache:j.cache ?verify:j.counters ?progress f
+      in
+      (match j.cache with Some c -> Sweep.Oracle_cache.close c | None -> ());
+      match r with
+      | Error msg -> Error (Printf.sprintf "shard %d: %s" shard msg)
+      | Ok o ->
+          let int_metric k v = (k, float_of_int v) in
+          let row =
+            {
+              Datafile.kind = "sweep";
+              func = key.func;
+              repr = key.repr;
+              mode = key.mode;
+              identity;
+              tables_hash = key.tables_hash;
+              span = Some span;
+              metrics =
+                (if not whole then []
+                 else
+                   [
+                     int_metric "fast" (count Sweep.Verify.fast - fast0);
+                     int_metric "escalated" (count Sweep.Verify.escalated - esc0);
+                     ("busy_seconds", o.stats.wall_seconds);
+                     int_metric "retry_attempts" o.stats.retry_attempts;
+                     int_metric "cache_hits" o.stats.cache_hits;
+                     int_metric "cache_misses" o.stats.cache_misses;
+                   ]);
+              mismatches =
+                Array.map
+                  (fun (m : Sweep.Checkpoint.mismatch) ->
+                    { Datafile.pattern = m.pattern; got = m.got; want = m.want })
+                  o.mismatches;
+              quarantined =
+                Array.of_list
+                  (List.map (fun (_ci, qlo, qhi, msg) -> (qlo + lo, qhi + lo, msg)) o.quarantined);
+            }
+          in
+          write_datafile ~path:(shard_datafile dir shard) ~identity ?jobs row;
+          Ok row
 
 (* Fork-based scheduler: at most [workers] children alive; each child
    runs exactly one shard through [run_one] and exits 0 on success.  We
@@ -245,6 +271,15 @@ let merge_shards ~dir ~identity ?jobs ~(plan : Plan.t) t0 : (outcome, string) re
                 requested: %s"
                merged.identity identity)
       | Ok merged ->
+          let merged =
+            {
+              merged with
+              metrics =
+                List.filter
+                  (fun (k, _) -> List.for_all (fun (r : Datafile.row) -> List.mem_assoc k r.metrics) rows)
+                  merged.metrics;
+            }
+          in
           let rp = report_path dir in
           let tmp = rp ^ ".tmp" in
           let oc = open_out_bin tmp in

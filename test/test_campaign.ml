@@ -157,6 +157,7 @@ let test_forked_workers_match_in_process () =
   let _, ref_text = Lazy.force reference in
   let dir = fresh_dir "camp_fork" in
   let o = run_campaign ~shards:3 ~exec:(Campaign.Fork 2) dir in
+  Alcotest.(check int) "three shards merged" 3 (P.n_shards o.plan);
   Alcotest.(check string) "forked 3-shard report == 1-shard report" ref_text
     (read_file o.report_path);
   rm_rf dir
@@ -301,6 +302,48 @@ let test_campaign_refuses_unflagged_restart () =
   | Ok _ -> Alcotest.fail "silently restarted over shard results");
   rm_rf dir
 
+(* Shard counters cover one invocation, so a shard that resumes
+   checkpointed work writes a row without them and the merged row drops
+   them, instead of summing a partial count.  The interruption is an
+   exception out of the progress callback after shard 0's second batch. *)
+let test_resumed_shard_omits_counters () =
+  let ref_row, ref_text = Lazy.force reference in
+  let counters (r : D.row) = List.map fst r.metrics in
+  Alcotest.(check bool) "uninterrupted run carries counters" true
+    (List.mem "busy_seconds" (counters ref_row));
+  let dir = fresh_dir "camp_partial" in
+  let calls = ref 0 in
+  let stop (_ : Sweep.Engine.progress) =
+    incr calls;
+    if !calls = 3 then raise Exit
+  in
+  (match
+     Campaign.run ~dir ~identity ~key ~n:n_items ~shards:2 ~chunk_size ~checkpoint_every:4
+       ~jobs:1 ~progress:stop ~exec:Campaign.In_process ~job:synth_job ()
+   with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "the interrupted run finished");
+  let o = run_campaign ~shards:2 ~resume:true dir in
+  let row s =
+    match D.read ~path:(Campaign.shard_datafile dir s) with
+    | Ok { rows = [ r ]; _ } -> r
+    | Ok _ -> Alcotest.failf "shard %d: expected one row" s
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check (list string)) "resumed shard row has no counters" [] (counters (row 0));
+  Alcotest.(check (list string)) "fresh shard row has counters" (counters ref_row) (counters (row 1));
+  Alcotest.(check (list string)) "merged row drops partial counters" [] (counters o.merged);
+  Alcotest.(check string) "report unaffected" ref_text (read_file o.report_path);
+  (match
+     Campaign.run_shard ~dir ~identity ~key ~plan:o.plan ~shard:1 ~resume:true
+       (synth_job ~shard:1)
+   with
+  | Ok r ->
+      Alcotest.(check (list string)) "a finished shard resumed again keeps its row"
+        (counters ref_row) (counters r)
+  | Error m -> Alcotest.fail m);
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Differential tier: fast verifier vs the Ziv oracle (satellite 1).    *)
 (*                                                                      *)
@@ -428,6 +471,8 @@ let () =
             test_torn_shard_datafile_reruns;
           Alcotest.test_case "refuses restart without resume" `Quick
             test_campaign_refuses_unflagged_restart;
+          Alcotest.test_case "resumed shard row omits its counters" `Quick
+            test_resumed_shard_omits_counters;
         ] );
       ( "differential",
         Alcotest.test_case "full bf16 log2: fast == oracle, >=95% oracle-free" `Quick
