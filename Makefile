@@ -5,7 +5,8 @@
 #   make check-full   fast tier + @exhaustive (every bfloat16/float16
 #                     input of the differential suite — including all five
 #                     standard rounding modes derived from the float34
-#                     round-to-odd table — RLIBM_EXHAUSTIVE=1)
+#                     round-to-odd table — and of the serving kernel's
+#                     identity to the scalar path, RLIBM_EXHAUSTIVE=1)
 #   make bench        print the paper's Figures 3-5 and the ablations
 #                     (bench/main.ml; ungated — the benchmark CI compares
 #                     is bench/suite, see BENCHMARK.json)

@@ -129,25 +129,50 @@ let round_rational f ?(mode = M.Rne) q =
     end
   end
 
+(* A normal-range result (emin <= e <= emax) in one add and one shift
+   (RLIBM-ALL's integer re-rounding).  [t] is the double rebiased to the
+   target exponent, ((e + bias) lsl 52) lor mantissa, and [sh] = 52 - mb,
+   so [t lsr sh] is the truncated pattern without its sign.  The bias
+   added below the kept bits first makes truncation round: half-1 plus
+   the lowest kept bit (RNE), half (RNA), all ones when the direction
+   points away from zero (Up, Down), nothing (Zero); Odd truncates and
+   ORs in the sticky bit.  A mantissa carry lands in the next binade,
+   and at emax on the infinity pattern — correct for exactly the modes
+   whose bias can carry there.  {!Serve.Kernel.round_bits} runs the same
+   rule on the serving path. *)
+let round_normal mode neg sh t =
+  let low = (1 lsl sh) - 1 in
+  match mode with
+  | M.Rne -> (t + (low lsr 1) + ((t lsr sh) land 1)) lsr sh
+  | M.Rna -> (t + (low lsr 1) + 1) lsr sh
+  | M.Up -> if neg then t lsr sh else (t + low) lsr sh
+  | M.Down -> if neg then (t + low) lsr sh else t lsr sh
+  | M.Zero -> t lsr sh
+  | M.Odd -> (t lsr sh) lor (((t land low) + low) lsr sh)
+
 (* Mode-aware double -> pattern in plain integer arithmetic.  The
    rounding-interval search probes this on every step, so going through
    {!round_rational}'s bignum path would dominate generation time; the
    double's 53-bit significand fits a native int, making the guard and
-   sticky computation a couple of shifts.  Cross-checked against the
-   rational path by a qcheck differential suite. *)
+   sticky computation a couple of shifts, and a normal-range result
+   {!round_normal}'s single add.  Cross-checked against the rational
+   path by a qcheck differential suite. *)
 let of_double_finite f mode x =
   let bits = Int64.bits_of_float x in
   let neg = Int64.logand bits Int64.min_int <> 0L in
   let sign = if neg then sign_bit f else 0 in
   let de = Int64.to_int (Int64.logand (Int64.shift_right_logical bits 52) 0x7FFL) in
   let dm = Int64.to_int (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) in
-  if de = 0 then
+  let e = de - 1023 in
+  if e >= emin f && e <= emax f then
+    sign lor round_normal mode neg (52 - f.mb) (((e + bias f) lsl 52) lor dm)
+  else if de = 0 then
     (* A subnormal double (|x| < 2^-1022) sits far below half of any
        target's smallest subnormal, but is still nonzero. *)
     underflow mode sign (-1)
   else begin
+    (* Overflowing or subnormal: the general guard/sticky path. *)
     let m53 = dm lor (1 lsl 52) in
-    let e = de - 1023 in
     if e > emax f + 1 then overflow_pattern f mode sign
     else begin
       let prec = if e >= emin f then f.mb + 1 else f.mb + 1 + (e - emin f) in

@@ -174,30 +174,6 @@ let of_generated (g : G.generated) : K.plan option =
       cache := (g, p) :: !cache;
       p
 
-(** [force_tier g ~k] is [g]'s plan with the serving prefix forced to
-    degree [k] for every piece (the bench Pareto sweep walks k along
-    the cost–accuracy frontier).  [None] when there is no kernel, no
-    exhaustive certificates, or some piece has no strict degree-[k]
-    prefix.  [~k:0] strips the tier entirely (the full-polynomial
-    kernel, for baseline timing). *)
-let force_tier (g : G.generated) ~k : K.plan option =
-  match of_generated g with
-  | None -> None
-  | Some p -> (
-      if k = 0 then Some { p with K.tier = None }
-      else
-        match g.prog with
-        | Some pr
-          when pr.Rlibm.Prog.exhaustive
-               && Array.for_all (fun (pc : Rlibm.Prog.piece) -> k < pc.Rlibm.Prog.nt) pr.Rlibm.Prog.pieces ->
-            Some
-              {
-                p with
-                K.tier =
-                  Some (Array.init (Array.length g.pieces) (fun i -> lower_tpiece g pr i k));
-              }
-        | _ -> None)
-
 (** [plan ?quality ?cfg t name] generates (or fetches) the function and
     flattens it, raising on targets with no kernel. *)
 let plan ?quality ?cfg (t : Specs.target) name =

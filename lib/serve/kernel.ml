@@ -135,12 +135,13 @@ type plan = {
          to the integer path on finite values and NaN-payload-exact *)
   hw_rne : bool;
       (* hw32 && mode = RNE: output rounding is the hardware
-         double->single cast.  The cast rounds the finite double y in
-         one step exactly as the integer path does at RNE — overflow
-         lands on the correct infinity, underflow on the correctly
-         rounded subnormal, -0.0 on the sign pattern — and the fast path
-         never rounds a NaN.  Precomputed as a bool because the per-call
-         test must be one load, not a variant compare. *)
+         double->single cast instead of {!round_bits}.  The cast rounds
+         the finite double y in one instruction exactly as round_bits
+         does at RNE — overflow lands on the correct infinity, underflow
+         on the correctly rounded subnormal, -0.0 on the sign pattern —
+         with no range test or mode match, and the fast path never
+         rounds a NaN.  Precomputed as a bool because the per-call test
+         must be one load, not a variant compare. *)
   i_mb : int;
   i_emask : int;
   i_mmask : int;
@@ -177,13 +178,8 @@ let scratch_len = 4
 let scratch () = Array.make scratch_len 0.0
 
 (* ------------------------------------------------------------------ *)
-(* Output rounding: Fp.Ieee.of_double/of_double_finite replicated over  *)
-(* the double's raw bits passed as two 32-bit halves, so no float       *)
-(* crosses the call boundary.  The m53 significand fits a native int.   *)
-(* Bit-identity notes: the fp32 RNE hardware cast ({!Fp.Fp32.of_double})*)
-(* agrees with this integer path on every finite double, and the fast   *)
-(* path only ever rounds finite doubles — NaN results come out of the   *)
-(* scalar fallback.                                                     *)
+(* Output rounding: Fp.Ieee.of_double over the double's raw bits,       *)
+(* passed as two 32-bit halves so no float crosses the call boundary.   *)
 (* ------------------------------------------------------------------ *)
 
 (* Ieee.overflow_pattern: where an out-of-range magnitude lands depends
@@ -202,7 +198,10 @@ let overflow (p : plan) mode neg =
   else if neg then p.o_maxf_neg
   else p.o_maxf_pos
 
-let round_bits (p : plan) mode hi lo =
+(* Ieee.of_double's significand/guard/sticky rounding for every finite
+   or non-finite double; {!round_bits} sends it only the results outside
+   the target's normal range. *)
+let round_bits_rare (p : plan) mode hi lo =
   let neg = hi land 0x8000_0000 <> 0 in
   let sign = if neg then p.o_sbit else 0 in
   let de = (hi lsr 20) land 0x7FF in
@@ -256,6 +255,39 @@ let round_bits (p : plan) mode hi lo =
       end
     end
   end
+
+(* A result in the target's normal range (o_emin <= e <= o_emax), the
+   common case, rounds by {!Fp.Ieee.round_normal}'s rule: rebias the
+   double to the target exponent, t = ((e + o_bias) lsl 52) lor
+   mantissa, add a mode- and sign-dependent bias below the kept bits,
+   and shift by sh = 52 - o_mb.  The rule is repeated here rather than
+   called because the dev profile compiles with -opaque, which keeps
+   every cross-module call out of line.  Up/Down pick their bias with
+   the sign mask instead of a branch; the mode is a plain match per
+   call, constant within a batch, so it predicts perfectly.  Zero,
+   non-finite, subnormal and overflowing results take
+   {!round_bits_rare}.  The fast path only ever rounds finite doubles
+   (NaN results come out of the scalar fallback), and the fp32 RNE
+   hardware cast agrees with both paths on every finite double. *)
+let round_bits (p : plan) mode hi lo =
+  let e = ((hi lsr 20) land 0x7FF) - 1023 in
+  if e >= p.o_emin && e <= p.o_emax then begin
+    let nmask = -(hi lsr 31) (* all ones for a negative double, else 0 *) in
+    let sh = 52 - p.o_mb in
+    let low = (1 lsl sh) - 1 in
+    let t = ((e + p.o_bias) lsl 52) lor ((hi land 0xF_FFFF) lsl 32) lor lo in
+    let mag =
+      match mode with
+      | Fp.Rounding_mode.Rne -> (t + (low lsr 1) + ((t lsr sh) land 1)) lsr sh
+      | Fp.Rounding_mode.Rna -> (t + (low lsr 1) + 1) lsr sh
+      | Fp.Rounding_mode.Up -> (t + (low land lnot nmask)) lsr sh
+      | Fp.Rounding_mode.Down -> (t + (low land nmask)) lsr sh
+      | Fp.Rounding_mode.Zero -> t lsr sh
+      | Fp.Rounding_mode.Odd -> (t lsr sh) lor (((t land low) + low) lsr sh)
+    in
+    (p.o_sbit land nmask) lor mag
+  end
+  else round_bits_rare p mode hi lo
 
 (* ------------------------------------------------------------------ *)
 (* Range reduction RR_H and output compensation OC_H of the flat        *)
@@ -537,8 +569,8 @@ let eval_piece (pc : piece) (s : float array) dst =
 let compose (p : plan) (s : float array) aux =
   compensate p.family s aux;
   if p.hw_rne then
-    (* One hardware cast replaces the whole integer rounding: identical
-       on the finite y the fast path produces (see the field's note). *)
+    (* One hardware cast replaces round_bits: identical on the finite y
+       the fast path produces (see the field's note). *)
     Int32.to_int (Int32.bits_of_float (Array.unsafe_get s 3)) land 0xFFFF_FFFF
   else begin
     let yb = Int64.bits_of_float (Array.unsafe_get s 3) in

@@ -274,6 +274,105 @@ let test_par_min_config () =
   Alcotest.(check int) "default par_min" (1 lsl 14) Rlibm.Config.default.batch_par_min
 
 (* ------------------------------------------------------------------ *)
+(* Output rounding: round_bits = lib/fp's exact rounding, every mode.  *)
+(* ------------------------------------------------------------------ *)
+
+module I = Fp.Ieee
+module M = Fp.Rounding_mode
+
+(* A plan whose output fields describe [fmt]; round_bits reads nothing
+   else.  The base plan is bfloat16 log2 at RNE, so every mode below
+   other than RNE is one the plan was not built for — the doubles
+   pipelines call round_bits at RNE on plans of any mode. *)
+let out_plan (base : K.plan) (fmt : I.format) =
+  {
+    base with
+    K.o_mb = fmt.I.mb;
+    o_mmask = I.mant_mask fmt;
+    o_sbit = I.sign_bit fmt;
+    o_bias = I.bias fmt;
+    o_emin = I.emin fmt;
+    o_emax = I.emax fmt;
+    o_nan = I.nan_pattern fmt;
+    o_inf_pos = I.inf_pattern fmt 1;
+    o_inf_neg = I.inf_pattern fmt (-1);
+    o_maxf_pos = I.max_finite_pattern fmt 1;
+    o_maxf_neg = I.max_finite_pattern fmt (-1);
+  }
+
+(* Doubles aimed at every branch and boundary of the rounding, for
+   format [fmt]; each draw also picks the sign. *)
+let gen_rounding_input (fmt : I.format) =
+  let open QCheck.Gen in
+  let of_bits de m = Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int de) 52) m) in
+  let mant = map (fun m -> Int64.logand m 0xF_FFFF_FFFF_FFFFL) ui64 in
+  let at_exp e = map (fun m -> of_bits (e + 1023) m) mant in
+  (* a non-negative finite target value, subnormals and max_finite included *)
+  let finite_pat = int_bound (I.max_finite_pattern fmt 1) in
+  let tie =
+    (* halfway between a finite value and the next one up (exact: at
+       most mb + 2 significant bits), then 0 or 1 double either side *)
+    map3
+      (fun p step dir ->
+        let v = I.to_double fmt p and v' = I.to_double fmt (p + 1) in
+        let h = if Float.is_finite v' then (v +. v') /. 2.0 else v +. ((v -. I.to_double fmt (p - 1)) /. 2.0) in
+        match step with
+        | 0 -> h
+        | _ -> if dir then Fp.Fp64.next_up h else Fp.Fp64.next_down h)
+      finite_pat (int_bound 1) bool
+  in
+  let edge_exp =
+    (* e = emin - 1, emin, emax, emax + 1 *)
+    oneofl [ I.emin fmt - 1; I.emin fmt; I.emax fmt; I.emax fmt + 1 ] >>= at_exp
+  in
+  let near_max =
+    (* exponent emax with every kept mantissa bit set: just below
+       max_finite + half an ulp, where a carry reaches infinity *)
+    map
+      (fun low ->
+        let kept = Int64.shift_left (Int64.of_int (I.mant_mask fmt)) (52 - fmt.I.mb) in
+        let below = Int64.pred (Int64.shift_left 1L (52 - fmt.I.mb)) in
+        of_bits (I.emax fmt + 1023) (Int64.logor kept (Int64.logand low below)))
+      ui64
+  in
+  let tiny =
+    (* subnormal and zero results, double subnormals and zeros too *)
+    oneof
+      [
+        int_range (I.emin fmt - fmt.I.mb - 3) (I.emin fmt - 1) >>= at_exp;
+        map (fun m -> of_bits 0 m) mant;
+        return 0.0;
+      ]
+  in
+  let any = map Int64.float_of_bits ui64 in
+  map2
+    (fun x neg -> if neg then -.x else x)
+    (frequency [ (3, tie); (2, edge_exp); (1, near_max); (2, tiny); (1, any) ])
+    bool
+
+let test_round_bits_exact () =
+  let base = Option.get (Funcs.Kernels.of_generated (Funcs.Libm.get S.bfloat16 "log2")) in
+  List.iter
+    (fun (fmt : I.format) ->
+      let p = out_plan base fmt in
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:3000
+           ~name:(fmt.I.name ^ ": round_bits = Ieee.of_double = round_rational, every mode")
+           (QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) (gen_rounding_input fmt))
+           (fun x ->
+             let b = Int64.bits_of_float x in
+             let hi = Int64.to_int (Int64.shift_right_logical b 32)
+             and lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
+             List.for_all
+               (fun mode ->
+                 let got = K.round_bits p mode hi lo in
+                 got = I.of_double fmt ~mode x
+                 && (x = 0.0 || (not (Float.is_finite x))
+                    || got = I.round_rational fmt ~mode (Rational.of_float x)))
+               M.all)))
+    [ I.bfloat16; I.float16; I.float32; Funcs.Specs.Float34.fmt ]
+
+(* ------------------------------------------------------------------ *)
 (* Progressive tier (RLIBM-PROG): the prefix tier is a serving detail, *)
 (* never a semantic one — tiered output must be bit-identical to the   *)
 (* full kernel and the scalar path on every input, and a certificate   *)
@@ -495,6 +594,8 @@ let () =
           Alcotest.test_case "slo measure" `Quick test_measure;
           Alcotest.test_case "par_min config" `Quick test_par_min_config;
         ] );
+      ( "round_bits",
+        [ Alcotest.test_case "exact rounding (qcheck)" `Quick test_round_bits_exact ] );
       ("tier_identity16", tier_identity_cases ());
       ( "tier",
         [
