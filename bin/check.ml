@@ -133,7 +133,7 @@ let apply_mode mode (t : Funcs.Specs.target) =
 
 let default_names (t : Funcs.Specs.target) fns ~posit =
   if fns <> [] then fns
-  else if t.mode <> Fp.Rounding_mode.Rne then Funcs.Specs.odd_functions
+  else if t.mode <> Fp.Rounding_mode.Rne then Funcs.Specs.non_nearest_functions t.mode
   else if posit then Funcs.Specs.posit_functions
   else Funcs.Specs.float_functions
 

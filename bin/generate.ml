@@ -15,7 +15,7 @@ let target_of = function
   | t -> invalid_arg ("unknown target: " ^ t)
 
 let names_for (t : Funcs.Specs.target) =
-  if t.mode <> Fp.Rounding_mode.Rne then Funcs.Specs.odd_functions
+  if t.mode <> Fp.Rounding_mode.Rne then Funcs.Specs.non_nearest_functions t.mode
   else
     match t.tname with
     | "posit32" | "posit16" -> Funcs.Specs.posit_functions
@@ -47,10 +47,14 @@ let cfg_of ~lp_warm ~prog =
       }
   else None
 
+(* [true] when [name] generated.  Both subcommands print every requested
+   function, then exit 1 if any of them was refused or failed. *)
 let run_one (t : Funcs.Specs.target) quality ?cfg ~pass_stats ~emit name =
   let t0 = Unix.gettimeofday () in
   match Funcs.Libm.get ~quality ?cfg t name with
-  | exception Invalid_argument msg -> Printf.printf "%-7s %-9s SKIPPED: %s\n%!" name (label t) msg
+  | exception Invalid_argument msg ->
+      Printf.printf "%-7s %-9s SKIPPED: %s\n%!" name (label t) msg;
+      false
   | g ->
       let wall = Unix.gettimeofday () -. t0 in
       let s = g.Rlibm.Generator.stats in
@@ -79,12 +83,16 @@ let run_one (t : Funcs.Specs.target) quality ?cfg ~pass_stats ~emit name =
         match s.Rlibm.Stats.prog with
         | None -> ()
         | Some p -> Format.printf "%a" Rlibm.Stats.pp_prog p
-      end
-  | exception Failure msg -> Printf.printf "%-7s %-9s FAILED: %s\n%!" name (label t) msg
+      end;
+      true
+  | exception Failure msg ->
+      Printf.printf "%-7s %-9s FAILED: %s\n%!" name (label t) msg;
+      false
 
 let stats jobs pass_stats lp_warm prog targets mode all_modes quality fns datafile =
   (match jobs with Some j -> Parallel.set_jobs j | None -> ());
   let cfg = cfg_of ~lp_warm ~prog in
+  let failed = ref false in
   let rows = ref [] in
   (* One "generate" row per successfully generated (function, target):
      Table 3 numbers plus the tables fingerprint, so a later run can
@@ -139,10 +147,12 @@ let stats jobs pass_stats lp_warm prog targets mode all_modes quality fns datafi
       List.iter
         (fun t ->
           let names = if fns = [] then names_for t else fns in
-          List.iter (run_one t quality ?cfg ~pass_stats ~emit) names)
+          List.iter
+            (fun name -> if not (run_one t quality ?cfg ~pass_stats ~emit name) then failed := true)
+            names)
         (targets_for tname mode all_modes))
     targets;
-  match datafile with
+  (match datafile with
   | None -> ()
   | Some path ->
       Datafile.write ~path
@@ -164,7 +174,8 @@ let stats jobs pass_stats lp_warm prog targets mode all_modes quality fns datafi
               };
           rows = List.rev !rows;
         };
-      Printf.printf "datafile: %s (%d rows)\n" path (List.length !rows)
+      Printf.printf "datafile: %s (%d rows)\n" path (List.length !rows));
+  if !failed then exit 1
 
 let jobs_term =
   Arg.(value & opt (some int) None
@@ -233,9 +244,13 @@ let lp_warm_term =
                  coefficient vertices — and so the emitted tables — may differ from the \
                  deterministic cold default.  Also enabled by RLIBM_LP_WARM=1.")
 
+let exits =
+  Cmd.Exit.info 1 ~doc:"a requested function was refused or failed to generate."
+  :: Cmd.Exit.defaults
+
 let stats_cmd =
   Cmd.v
-    (Cmd.info "stats" ~doc:"Generator statistics for all functions (paper Table 3)")
+    (Cmd.info "stats" ~exits ~doc:"Generator statistics for all functions (paper Table 3)")
     Term.(const stats $ jobs_term $ pass_stats_term $ lp_warm_term $ prog_term $ targets_term
           $ mode_term $ all_modes_term $ quality_term $ funcs_term $ datafile_term)
 
@@ -246,6 +261,7 @@ let stats_cmd =
 let dump jobs lp_warm prog targets mode all_modes quality fns =
   (match jobs with Some j -> Parallel.set_jobs j | None -> ());
   let cfg = cfg_of ~lp_warm ~prog in
+  let failed = ref false in
   List.iter
     (fun tname ->
       List.iter
@@ -254,9 +270,12 @@ let dump jobs lp_warm prog targets mode all_modes quality fns =
       List.iter
         (fun name ->
           match Funcs.Libm.get ~quality ?cfg t name with
-          | exception Failure msg -> Printf.printf "%s %s FAILED: %s\n%!" name (label t) msg
+          | exception Failure msg ->
+              Printf.printf "%s %s FAILED: %s\n%!" name (label t) msg;
+              failed := true
           | exception Invalid_argument msg ->
-              Printf.printf "%s %s SKIPPED: %s\n%!" name (label t) msg
+              Printf.printf "%s %s SKIPPED: %s\n%!" name (label t) msg;
+              failed := true
           | g ->
               Printf.printf "%s %s\n" name (label t);
               Array.iteri
@@ -279,16 +298,17 @@ let dump jobs lp_warm prog targets mode all_modes quality fns =
                 g.Rlibm.Generator.pieces)
         names)
         (targets_for tname mode all_modes))
-    targets
+    targets;
+  if !failed then exit 1
 
 let dump_cmd =
   Cmd.v
-    (Cmd.info "dump" ~doc:"Bit-exact hex dump of the generated tables (for determinism diffs)")
+    (Cmd.info "dump" ~exits ~doc:"Bit-exact hex dump of the generated tables (for determinism diffs)")
     Term.(const dump $ jobs_term $ lp_warm_term $ prog_term $ targets_term $ mode_term
           $ all_modes_term $ quality_term $ funcs_term)
 
 let () =
-  let info = Cmd.info "generate" ~doc:"RLIBM-32 library generator (Table 3)" in
+  let info = Cmd.info "generate" ~exits ~doc:"RLIBM-32 library generator (Table 3)" in
   exit
     (Cmd.eval
        (Cmd.group

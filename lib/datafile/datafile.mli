@@ -27,7 +27,7 @@ type mismatch = { pattern : int; got : int; want : int }
 type span = { lo : int; hi : int; n_items : int; chunk_size : int }
 
 type row = {
-  kind : string;  (* "benchmark" | "generate" | "sweep" | "serve" *)
+  kind : string;  (* "benchmark" | "generate" | "sweep" *)
   func : string;
   repr : string;
   mode : string;

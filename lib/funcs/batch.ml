@@ -9,11 +9,11 @@
    element — instead of the spec's closure chain, which boxes a float at
    every call boundary.
 
-   [eval_patterns]/[eval_doubles] keep their historical signatures but
-   now delegate the inner loops to {!Serve.Run} whenever the generated
-   function flattens to a kernel ({!Kernels.of_generated}); functions
-   with no kernel (posit targets, non-standard term shapes) stay on the
-   boxed closure path, preserved below as the [_boxed] variants.
+   [eval_patterns] is the one batch entry point: it delegates the inner
+   loop to {!Serve.Run.patterns} whenever the generated function
+   flattens to a kernel ({!Kernels.of_generated}); functions with no
+   kernel (posit targets, sin/cos/tan, non-standard term shapes) stay on
+   the boxed closure path, kept below as [eval_patterns_boxed].
 
    Large batches shard across domains via {!Parallel}: each shard owns a
    disjoint [dst] slice.  The sharding threshold comes from
@@ -31,22 +31,13 @@ let run_sharded n shard_body =
 (** Boxed reference path: the compiled closure chain, shared by every
     worker domain (domain-local scratch, see {!Rlibm.Generator.compile}).
     Kept as the fallback for kernel-less targets and as the baseline the
-    serve bench and tests compare against. *)
+    tests compare the kernel path against. *)
 let eval_patterns_boxed (g : G.generated) (src : int array) (dst : int array) =
   if Array.length src <> Array.length dst then invalid_arg "Batch.eval_patterns: length mismatch";
   let f = G.compile g in
   run_sharded (Array.length src) (fun ~lo ~hi ->
       for i = lo to hi - 1 do
         dst.(i) <- f src.(i)
-      done)
-
-let eval_doubles_boxed (g : G.generated) (src : float array) (dst : float array) =
-  if Array.length src <> Array.length dst then invalid_arg "Batch.eval_doubles: length mismatch";
-  let module T = (val g.spec.repr) in
-  let f = G.compile g in
-  run_sharded (Array.length src) (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        dst.(i) <- T.to_double (f (T.of_double src.(i)))
       done)
 
 (** [eval_patterns g src dst] applies the generated function to every
@@ -59,13 +50,3 @@ let eval_patterns (g : G.generated) (src : int array) (dst : int array) =
         invalid_arg "Batch.eval_patterns: length mismatch";
       Serve.Run.patterns ~par_min:(par_min ()) p src dst
   | None -> eval_patterns_boxed g src dst
-
-(** [eval_doubles g src dst] is the double-valued batch entry point (the
-    arrays hold exact target values, as in the paper's harness). *)
-let eval_doubles (g : G.generated) (src : float array) (dst : float array) =
-  match Kernels.of_generated g with
-  | Some p ->
-      if Array.length src <> Array.length dst then
-        invalid_arg "Batch.eval_doubles: length mismatch";
-      Serve.Run.doubles ~par_min:(par_min ()) p src dst
-  | None -> eval_doubles_boxed g src dst

@@ -24,7 +24,8 @@ module G = Rlibm.Generator
     the float34 round-to-odd table of [name].  The heavy generation
     happens once per function (cached in {!Libm}); the returned closure
     is reentrant — see {!G.compile}.
-    @raise Invalid_argument if [name] is outside {!Specs.odd_functions}.
+    @raise Invalid_argument if [name] is outside
+    [Specs.non_nearest_functions Odd] (exp10 included: see there).
     @raise Failure if float34 generation fails. *)
 let fn ?quality ?cfg (module B : Fp.Representation.S) ~mode name =
   let g = Libm.get ?quality ?cfg Specs.float34 name in

@@ -12,8 +12,8 @@
    field decode, sin/cos/tan carry no descriptor, and a component whose
    term pattern falls outside the four shipped Horner shapes has no
    monomorphic kernel.  [of_generated]
-   returns [None] for those and callers (Funcs.Batch, bin/serve) keep
-   using the boxed closure path. *)
+   returns [None] for those and Funcs.Batch keeps using the boxed
+   closure path. *)
 
 module G = Rlibm.Generator
 module K = Serve.Kernel

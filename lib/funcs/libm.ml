@@ -3,9 +3,10 @@
    Functions are generated on first use (the paper ships pre-generated
    coefficient tables; we regenerate deterministically — same algorithms,
    same inputs, same tables every run) and cached per (function, target,
-   enumeration).  The float32 entry points take and return doubles that
-   are exact float32 values, mirroring how a C float function would be
-   called from double-based test harnesses (§4.1). *)
+   rounding mode, quality, generator config).  The float32 entry points
+   take and return doubles that are exact float32 values, mirroring how
+   a C float function would be called from double-based test harnesses
+   (§4.1). *)
 
 module G = Rlibm.Generator
 
@@ -47,20 +48,11 @@ let enumeration (t : Specs.target) quality =
     | 18 -> Rlibm.Enumerate.exhaustive ~bits:18
     | _ -> Rlibm.Enumerate.stratified32 ~per_stratum:(per_stratum quality) ()
 
-let cache : (string * string * Fp.Rounding_mode.t * quality * bool, G.generated) Hashtbl.t =
+let cache :
+    (string * string * Fp.Rounding_mode.t * quality * Rlibm.Config.t, G.generated) Hashtbl.t =
   Hashtbl.create 32
 
 let cache_mu = Mutex.create ()
-
-(* The cfg components that change the generated artifact's *shape* must
-   discriminate the cache key, or a progressive caller would be handed a
-   certificate-free generation cached by a classic caller (and vice
-   versa).  Only [progressive] qualifies today: the other cfg knobs
-   (warm-start, refine budget) steer how generation runs, not what it
-   emits. *)
-let cfg_progressive = function
-  | Some (c : Rlibm.Config.t) -> c.progressive
-  | None -> Rlibm.Config.default.progressive
 
 (** Generate (or fetch) one function for one target.
     @raise Failure if generation fails — a spec bug, not a user error.
@@ -69,10 +61,12 @@ let cfg_progressive = function
     function wait for one generation instead of racing two, and
     generation itself fans out internally via {!Parallel}.  The cache
     key includes the target's rounding mode, so [Specs.with_mode]
-    re-targets of the same representation don't collide. *)
+    re-targets of the same representation don't collide, and the whole
+    effective config, since knobs such as [lp_warm] change the emitted
+    tables. *)
 let get ?(quality = Full) ?cfg (t : Specs.target) name =
   Mutex.protect cache_mu @@ fun () ->
-  let key = (name, t.tname, t.mode, quality, cfg_progressive cfg) in
+  let key = (name, t.tname, t.mode, quality, Option.value cfg ~default:Rlibm.Config.default) in
   match Hashtbl.find_opt cache key with
   | Some g -> g
   | None -> (

@@ -3,7 +3,8 @@
     Functions are generated deterministically on first use (the paper
     ships pre-generated coefficient tables; regeneration here is
     deterministic: same algorithms, same enumeration, same tables every
-    run) and cached per (function, target, quality). *)
+    run) and cached per (function, target, rounding mode, quality,
+    generator config). *)
 
 type quality =
   | Draft

@@ -130,9 +130,9 @@ type plan = {
   (* input format decode *)
   width : int;
   hw32 : bool;
-      (* float32: the doubles pipeline uses the hardware single<->double
-         casts (what Fp.Fp32.of_double/to_double do at RNE), identical
-         to the integer path on finite values and NaN-payload-exact *)
+      (* float32: {!stage1} decodes with the hardware single->double
+         cast (what Fp.Fp32.to_double does), identical to the integer
+         decode on finite values *)
   hw_rne : bool;
       (* hw32 && mode = RNE: output rounding is the hardware
          double->single cast instead of {!round_bits}.  The cast rounds
@@ -183,9 +183,9 @@ let scratch () = Array.make scratch_len 0.0
 (* ------------------------------------------------------------------ *)
 
 (* Ieee.overflow_pattern: where an out-of-range magnitude lands depends
-   on the rounding mode, and this function rounds under two different
-   modes (the plan's, and RNE for the input leg of the doubles
-   pipeline), so the decision stays dynamic. *)
+   on the rounding mode, and the mode is an argument rather than the
+   plan's field (the round_bits tests and probes drive one plan through
+   every mode), so the decision stays dynamic. *)
 let overflow (p : plan) mode neg =
   let to_inf =
     match mode with
@@ -737,25 +737,9 @@ let derive_counts ~tiered ~processed (ctr : int array) =
   if tiered then ctr.(c_prefix) <- ctr.(c_prefix) + processed - ctr.(c_full) - ctr.(c_fallback)
   else ctr.(c_full) <- ctr.(c_full) + processed - ctr.(c_fallback)
 
-(** [eval_tiered p s ctr pat] is {!eval} through the plan's progressive
-    tier (if any), with *exact* per-call tier accounting into [ctr] —
-    the convenient scalar entry for verification and tests; batch loops
-    use {!eval_tiered_tp}/{!eval_counted} + {!derive_counts} instead. *)
-let eval_tiered (p : plan) (s : float array) (ctr : int array) pat =
-  match p.tier with
-  | None ->
-      let fb = ctr.(c_fallback) in
-      let out = eval_counted p s ctr pat in
-      if ctr.(c_fallback) = fb then ctr.(c_full) <- ctr.(c_full) + 1;
-      out
-  | Some tp ->
-      let fb = ctr.(c_fallback) and fu = ctr.(c_full) in
-      let out = eval_tiered_tp p tp s ctr pat in
-      if ctr.(c_fallback) = fb && ctr.(c_full) = fu then ctr.(c_prefix) <- ctr.(c_prefix) + 1;
-      out
-
-(** [is_fast p pat]: would [pat] take the allocation-free path?  (Used
-    by workload generators and tests; not on the hot path itself.) *)
+(** [is_fast p pat]: would [pat] take the allocation-free path?  (The
+    benchmark's decode-and-specials probe and the tests' fast-path input
+    sets call it; the hot path itself does not.) *)
 let is_fast (p : plan) pat =
   let e = (pat lsr p.i_mb) land p.i_emask in
   if e = p.i_emask then false
@@ -776,33 +760,6 @@ let is_fast (p : plan) pat =
       | Chk_signed c -> x >= c.hi || x <= c.lo || Float.abs x <= c.snap
       | Chk_abs c -> Float.abs x >= c.hi || Float.abs x <= c.snap
       | Chk_log1p c -> x <= -1.0 || Float.abs x <= c.snap)
-  end
-
-(** [to_double p pat] widens an output pattern to the double the
-    representation's [to_double] would produce (NaN payloads widen the
-    hardware way: sign and payload preserved, which is what
-    {!Fp.Fp32.to_double} does; the generic {!Fp.Ieee.to_double} returns
-    a canonical NaN instead — callers comparing doubles must compare
-    NaNs as a class, as the tests do). *)
-let to_double (p : plan) pat =
-  let e = (pat lsr p.i_mb) land p.i_emask in
-  let m = pat land p.i_mmask in
-  let neg = pat land p.i_sbit <> 0 in
-  if e = p.i_emask then
-    Int64.float_of_bits
-      (Int64.logor
-         (Int64.logor (if neg then Int64.min_int else 0L) 0x7FF0_0000_0000_0000L)
-         (Int64.shift_left (Int64.of_int m) (52 - p.i_mb)))
-  else begin
-    let mag =
-      if e = 0 then float_of_int m *. p.i_sub_scale
-      else
-        Int64.float_of_bits
-          (Int64.logor
-             (Int64.shift_left (Int64.of_int (e + p.i_dexp_off)) 52)
-             (Int64.shift_left (Int64.of_int m) (52 - p.i_mb)))
-    in
-    if neg then -.mag else mag
   end
 
 (* ------------------------------------------------------------------ *)

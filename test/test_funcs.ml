@@ -192,6 +192,21 @@ let test_batch_agrees () =
     if c pat <> Rlibm.Generator.eval_pattern g pat then Alcotest.failf "compile mismatch %04x" pat
   done
 
+(* Libm.get caches on the whole effective config: lp_warm can move the
+   emitted tables, so a warm get after a cold one must generate anew
+   rather than hand back the cold tables. *)
+let test_cache_keyed_on_cfg () =
+  let get cfg = Funcs.Libm.get ~cfg S.bfloat16 "exp2" in
+  let cold = { Rlibm.Config.default with lp_warm = false } in
+  let warm = { cold with lp_warm = true } in
+  let g_cold = get cold and g_warm = get warm in
+  Alcotest.(check bool) "cold and warm are separate entries" false (g_cold == g_warm);
+  Alcotest.(check bool) "warm entry was generated warm" true
+    (Option.get g_warm.Rlibm.Generator.stats.lp).lp_warm_mode;
+  Alcotest.(check bool) "warm entry is reused" true (get warm == g_warm);
+  Alcotest.(check bool) "no cfg = the default cfg" true
+    (Funcs.Libm.get S.bfloat16 "exp2" == get Rlibm.Config.default)
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive 16-bit end-to-end generation: the soundness witness.     *)
 (* ------------------------------------------------------------------ *)
@@ -243,6 +258,7 @@ let () =
           Alcotest.test_case "dispatch" `Quick test_specials_dispatch;
         ] );
       ("batch", [ Alcotest.test_case "agrees with scalar" `Slow test_batch_agrees ]);
+      ("libm", [ Alcotest.test_case "cache keyed on the config" `Quick test_cache_keyed_on_cfg ]);
       ( "exhaustive-16bit",
         [
           Alcotest.test_case "bfloat16 exp2" `Slow (exhaustive_correct S.bfloat16 "exp2");

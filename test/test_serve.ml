@@ -11,16 +11,46 @@
 
 module K = Serve.Kernel
 module R = Serve.Run
-module W = Serve.Workload
 module G = Rlibm.Generator
 module S = Funcs.Specs
 
 let exhaustive =
   match Sys.getenv_opt "RLIBM_EXHAUSTIVE" with Some ("1" | "true") -> true | _ -> false
 
-let patterns16 () =
+(* The edge patterns of plan [p]'s format: NaN, the infinities, both
+   zeros, both largest-finite values, the smallest subnormal of each
+   sign, +-1.0 (one_snap's neighborhood), and a huge-argument pair — a
+   finite value halfway up the exponent range, both signs.  For the
+   trig family that pair lands deep in the range-reduction regime; for
+   the exp family it saturates, and for logs it is an ordinary
+   fast-path input. *)
+let edge_pool (p : K.plan) =
+  let one = p.K.o_bias lsl p.K.o_mb in
+  let huge = ((p.K.o_bias + (p.K.o_emax / 2)) lsl p.K.o_mb) lor (p.K.o_mmask lsr 1) in
+  [|
+    p.K.o_nan;
+    p.K.o_inf_pos;
+    p.K.o_inf_neg;
+    0;
+    p.K.i_sbit;
+    p.K.o_maxf_pos;
+    p.K.o_maxf_neg;
+    1;
+    p.K.i_sbit lor 1;
+    one;
+    one lor p.K.i_sbit;
+    huge;
+    huge lor p.K.i_sbit;
+  |]
+
+(* Every 16-bit pattern under RLIBM_EXHAUSTIVE; otherwise every 7th
+   plus the edge pool, which the stride mostly misses. *)
+let patterns16 (p : K.plan) =
   if exhaustive then Rlibm.Enumerate.exhaustive16
-  else Array.init (65536 / 7) (fun i -> i * 7)
+  else Array.append (Array.init (65536 / 7) (fun i -> i * 7)) (edge_pool p)
+
+(* The inputs of [patterns16 p] that take the kernel's fast path. *)
+let fast16 (p : K.plan) = Array.of_seq (Seq.filter (K.is_fast p) (Array.to_seq (patterns16 p)))
 
 (* ------------------------------------------------------------------ *)
 (* Serve vs scalar bit-identity: 16-bit targets, all standard modes.   *)
@@ -34,7 +64,7 @@ let identity16 (base : S.target) name mode () =
     | Some p -> p
     | None -> Alcotest.failf "%s %s: no kernel" t.tname name
   in
-  let src = patterns16 () in
+  let src = patterns16 p in
   let dst = Array.make (Array.length src) 0 in
   R.patterns p src dst;
   Array.iteri
@@ -83,18 +113,6 @@ let test_float32_strided () =
         Alcotest.failf "float32 log2: pattern %08x: kernel %08x <> scalar %08x" pat dst.(i) want)
     src
 
-(* Run.verify agrees with the definition above and covers every mix. *)
-let test_verify_mixes () =
-  let g = Funcs.Libm.get S.bfloat16 "log2" in
-  let p = Option.get (Funcs.Kernels.of_generated g) in
-  List.iter
-    (fun mix ->
-      let src = W.gen p ~mix ~seed:7 ~n:4096 in
-      match R.verify p src with
-      | None -> ()
-      | Some pat -> Alcotest.failf "%s mix: mismatch at %04x" (W.mix_to_string mix) pat)
-    [ W.Uniform; W.Hardcase; W.Subnormal ]
-
 (* ------------------------------------------------------------------ *)
 (* Determinism: jobs 1/2/4 produce identical output buffers.           *)
 (* ------------------------------------------------------------------ *)
@@ -104,9 +122,9 @@ let test_jobs_identical () =
   let p = Option.get (Funcs.Kernels.of_generated g) in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:20 ~name:"serve jobs 1/2/4 identical"
-       (QCheck.pair (QCheck.int_bound 100_000) (QCheck.int_range 512 4096))
-       (fun (seed, n) ->
-         let src = W.gen p ~mix:W.Hardcase ~seed ~n in
+       QCheck.(array_of_size Gen.(int_range 512 4096) (int_bound 0xFFFF))
+       (fun src ->
+         let n = Array.length src in
          let run j =
            let dst = Array.make n 0 in
            R.patterns ~jobs:j ~par_min:256 p src dst;
@@ -122,8 +140,8 @@ let test_jobs_identical () =
 let test_zero_alloc () =
   let g = Funcs.Libm.get S.bfloat16 "log2" in
   let p = Option.get (Funcs.Kernels.of_generated g) in
-  let n = 65536 in
-  let src = W.gen p ~mix:W.Uniform ~seed:42 ~n in
+  let src = fast16 p in
+  let n = Array.length src in
   let dst = Array.make n 0 in
   (* Warm up: pin the plan clone on this domain, fault everything in. *)
   R.patterns ~jobs:1 ~par_min:max_int p src dst;
@@ -132,83 +150,25 @@ let test_zero_alloc () =
   R.patterns ~jobs:1 ~par_min:max_int p src dst;
   let dw = Gc.minor_words () -. w0 in
   (* The shard setup (one closure, one 4-slot scratch) is the only
-     allowed allocation: with 65536 elements, even one boxed float per
-     element would show up as >= 3 * 65536 words. *)
+     allowed allocation: with thousands of elements, even one boxed
+     float per element would show up as >= 3 words per element. *)
   if dw > 1024.0 then
-    Alcotest.failf "serving path allocates: %.0f minor words for %d uniform calls" dw n
-
-(* The double pipeline too (the acceptance criterion's benchmark shape:
-   uniform float32 mix through eval_doubles).  bfloat16 exercises the
-   integer-rounding input leg, which is the allocation-riskier one. *)
-let test_zero_alloc_doubles () =
-  let g = Funcs.Libm.get S.bfloat16 "log2" in
-  let p = Option.get (Funcs.Kernels.of_generated g) in
-  let n = 65536 in
-  let pats = W.gen p ~mix:W.Uniform ~seed:43 ~n in
-  let src = Array.map (fun pat -> K.to_double p pat) pats in
-  let dst = Array.make n 0.0 in
-  R.doubles ~jobs:1 ~par_min:max_int p src dst;
-  R.doubles ~jobs:1 ~par_min:max_int p src dst;
-  let w0 = Gc.minor_words () in
-  R.doubles ~jobs:1 ~par_min:max_int p src dst;
-  let dw = Gc.minor_words () -. w0 in
-  if dw > 1024.0 then
-    Alcotest.failf "doubles pipeline allocates: %.0f minor words for %d uniform calls" dw n
+    Alcotest.failf "serving path allocates: %.0f minor words for %d fast-path calls" dw n
 
 (* ------------------------------------------------------------------ *)
-(* Bigarray pipelines agree with the array pipelines.                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_ba_pipelines () =
-  let g = Funcs.Libm.get S.bfloat16 "log2" in
-  let p = Option.get (Funcs.Kernels.of_generated g) in
-  let n = 4096 in
-  let src = W.gen p ~mix:W.Hardcase ~seed:11 ~n in
-  let dst = Array.make n 0 in
-  R.patterns p src dst;
-  (* int32 pattern buffers *)
-  let inb = R.create_i32 n and outb = R.create_i32 n in
-  Array.iteri (fun i pat -> Bigarray.Array1.set inb i (Int32.of_int pat)) src;
-  R.ba32 p inb outb;
-  for i = 0 to n - 1 do
-    let got = Int32.to_int (Bigarray.Array1.get outb i) land 0xFFFF_FFFF in
-    if got <> dst.(i) then Alcotest.failf "ba32 mismatch at %d: %04x <> %04x" i got dst.(i)
-  done;
-  (* float64 value buffers vs the float-array pipeline *)
-  let srcd = Array.map (fun pat -> K.to_double p pat) src in
-  let dstd = Array.make n 0.0 in
-  R.doubles p srcd dstd;
-  let inf = R.create_f64 n and outf = R.create_f64 n in
-  Array.iteri (fun i x -> Bigarray.Array1.set inf i x) srcd;
-  R.ba64 p inf outf;
-  for i = 0 to n - 1 do
-    let got = Bigarray.Array1.get outf i in
-    if Int64.bits_of_float got <> Int64.bits_of_float dstd.(i) then
-      Alcotest.failf "ba64 mismatch at %d" i
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Batch delegation: the old API rides the kernels and stays           *)
+(* Batch delegation: Funcs.Batch rides the kernels and stays           *)
 (* bit-identical to the boxed closure path, edge patterns included.    *)
 (* ------------------------------------------------------------------ *)
 
 let test_batch_delegates () =
   let g = Funcs.Libm.get S.bfloat16 "exp" in
   let p = Option.get (Funcs.Kernels.of_generated g) in
-  let n = 8192 in
-  let src = W.gen p ~mix:W.Hardcase ~seed:3 ~n in
+  let src = patterns16 p in
+  let n = Array.length src in
   let dst = Array.make n 0 and dst_boxed = Array.make n 0 in
   Funcs.Batch.eval_patterns g src dst;
   Funcs.Batch.eval_patterns_boxed g src dst_boxed;
-  Alcotest.(check bool) "patterns: kernel = boxed" true (dst = dst_boxed);
-  let srcd = Array.map (fun pat -> K.to_double p pat) src in
-  let dd = Array.make n 0.0 and dd_boxed = Array.make n 0.0 in
-  Funcs.Batch.eval_doubles g srcd dd;
-  Funcs.Batch.eval_doubles_boxed g srcd dd_boxed;
-  for i = 0 to n - 1 do
-    if Int64.bits_of_float dd.(i) <> Int64.bits_of_float dd_boxed.(i) then
-      Alcotest.failf "doubles: kernel <> boxed at %d (pattern %04x)" i src.(i)
-  done
+  Alcotest.(check bool) "patterns: kernel = boxed" true (dst = dst_boxed)
 
 (* Posit targets have no kernel; the old path must still work. *)
 let test_posit_fallback () =
@@ -221,53 +181,6 @@ let test_posit_fallback () =
     (fun i pat ->
       if dst.(i) <> G.eval_pattern g pat then Alcotest.failf "posit mismatch at %04x" pat)
     src
-
-(* ------------------------------------------------------------------ *)
-(* Workload generator properties.                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_workload () =
-  let g = Funcs.Libm.get S.bfloat16 "log2" in
-  let p = Option.get (Funcs.Kernels.of_generated g) in
-  (* Determinism: same (mix, seed, n) -> same patterns. *)
-  List.iter
-    (fun mix ->
-      Alcotest.(check bool)
-        (W.mix_to_string mix ^ " deterministic")
-        true
-        (W.gen p ~mix ~seed:5 ~n:512 = W.gen p ~mix ~seed:5 ~n:512))
-    [ W.Uniform; W.Hardcase; W.Subnormal ];
-  (* Uniform stays on the fast path. *)
-  let u = W.gen p ~mix:W.Uniform ~seed:5 ~n:4096 in
-  Alcotest.(check bool) "uniform all fast" true (Array.for_all (K.is_fast p) u);
-  (* Hardcase hits the fallback often. *)
-  let h = W.gen p ~mix:W.Hardcase ~seed:5 ~n:4096 in
-  let slow = Array.fold_left (fun acc pat -> if K.is_fast p pat then acc else acc + 1) 0 h in
-  Alcotest.(check bool) "hardcase >= 25% fallback" true (slow * 4 >= 4096);
-  (* Subnormal mix concentrates on the zero-exponent field. *)
-  let s = W.gen p ~mix:W.Subnormal ~seed:5 ~n:4096 in
-  let subs =
-    Array.fold_left
-      (fun acc pat -> if (pat lsr 7) land 0xFF = 0 then acc + 1 else acc)
-      0 s
-  in
-  Alcotest.(check bool) "subnormal >= 60% zero-exponent" true (subs * 10 >= 4096 * 6);
-  (* Patterns stay inside the format width. *)
-  Array.iter (fun pat -> assert (pat >= 0 && pat < 1 lsl 16)) s;
-  (* mix round-trip *)
-  List.iter
-    (fun mix -> Alcotest.(check bool) "mix roundtrip" true (W.mix_of_string (W.mix_to_string mix) = Some mix))
-    [ W.Uniform; W.Hardcase; W.Subnormal ]
-
-(* SLO measurement sanity: positive, ordered percentiles. *)
-let test_measure () =
-  let g = Funcs.Libm.get S.bfloat16 "log2" in
-  let p = Option.get (Funcs.Kernels.of_generated g) in
-  let src = W.gen p ~mix:W.Uniform ~seed:1 ~n:2048 in
-  let slo = R.measure ~jobs:1 p src ~batches:8 in
-  Alcotest.(check bool) "calls/sec > 0" true (slo.R.calls_per_sec > 0.0);
-  Alcotest.(check bool) "p50 <= p99" true (slo.R.p50_ns <= slo.R.p99_ns);
-  Alcotest.(check bool) "p50 > 0" true (slo.R.p50_ns > 0.0)
 
 (* Config knob: RLIBM_BATCH_PAR_MIN feeds Batch's sharding threshold. *)
 let test_par_min_config () =
@@ -282,8 +195,8 @@ module M = Fp.Rounding_mode
 
 (* A plan whose output fields describe [fmt]; round_bits reads nothing
    else.  The base plan is bfloat16 log2 at RNE, so every mode below
-   other than RNE is one the plan was not built for — the doubles
-   pipelines call round_bits at RNE on plans of any mode. *)
+   other than RNE is one the plan was not built for — round_bits takes
+   the mode as an argument, and must honour it on any plan. *)
 let out_plan (base : K.plan) (fmt : I.format) =
   {
     base with
@@ -393,7 +306,7 @@ let tier_identity16 (base : S.target) name mode () =
     | Some p -> p
     | None -> Alcotest.failf "%s %s: no kernel" t.tname name
   in
-  let src = patterns16 () in
+  let src = patterns16 p in
   let n = Array.length src in
   let dst = Array.make n 0 in
   let ctr = K.counters () in
@@ -437,8 +350,8 @@ let tier_identity_cases () =
         Fp.Rounding_mode.standard)
     combos
 
-(* The acceptance workload: bfloat16 log2 must actually certify a tier,
-   and a uniform mix must serve >= 90% of calls from the prefix. *)
+(* bfloat16 log2 must actually certify a tier, and must serve >= 90% of
+   its fast-path inputs from the prefix. *)
 let test_tier_fast_share () =
   let g = Funcs.Libm.get ~cfg:prog_cfg S.bfloat16 "log2" in
   let p = Option.get (Funcs.Kernels.of_generated g) in
@@ -448,14 +361,14 @@ let test_tier_fast_share () =
     | None -> Alcotest.fail "bfloat16 log2: no certified prefix tier"
   in
   Alcotest.(check bool) "prefix is strict" true (tp.(0).K.tk >= 1);
-  let n = 8192 in
-  let src = W.gen p ~mix:W.Uniform ~seed:9 ~n in
+  let src = fast16 p in
+  let n = Array.length src in
   let dst = Array.make n 0 in
   let ctr = K.counters () in
   R.patterns_tiered ~jobs:1 p src dst ctr;
   Alcotest.(check int) "counts conserve" n (ctr.(K.c_prefix) + ctr.(K.c_full) + ctr.(K.c_fallback));
   Alcotest.(check bool)
-    (Printf.sprintf "uniform >= 90%% prefix tier (got %d/%d)" ctr.(K.c_prefix) n)
+    (Printf.sprintf "fast path >= 90%% prefix tier (got %d/%d)" ctr.(K.c_prefix) n)
     true
     (ctr.(K.c_prefix) * 10 >= n * 9)
 
@@ -470,6 +383,8 @@ let test_miss_never_wrong () =
   let g = Funcs.Libm.get ~cfg:prog_cfg S.bfloat16 "log2" in
   let p = Option.get (Funcs.Kernels.of_generated g) in
   if p.K.tier = None then Alcotest.fail "bfloat16 log2: no certified prefix tier";
+  let src = fast16 p in
+  let n = Array.length src in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:25 ~name:"certificate miss escalates, never decides"
        (QCheck.pair (QCheck.int_range 1 7) (QCheck.int_bound 100_000))
@@ -492,8 +407,6 @@ let test_miss_never_wrong () =
                      done)
                    [ tp.K.tneg; tp.K.tpos ])
                tps);
-         let n = 2048 in
-         let src = W.gen p ~mix:W.Uniform ~seed ~n in
          let dst = Array.make n 0 in
          let ctr = K.counters () in
          R.patterns_tiered ~jobs:1 ~par_min:max_int q src dst ctr;
@@ -507,8 +420,8 @@ let test_tier_zero_alloc () =
   let g = Funcs.Libm.get ~cfg:prog_cfg S.bfloat16 "log2" in
   let p = Option.get (Funcs.Kernels.of_generated g) in
   if p.K.tier = None then Alcotest.fail "bfloat16 log2: no certified prefix tier";
-  let n = 65536 in
-  let src = W.gen p ~mix:W.Uniform ~seed:42 ~n in
+  let src = fast16 p in
+  let n = Array.length src in
   let dst = Array.make n 0 in
   let ctr = K.counters () in
   R.patterns_tiered ~jobs:1 ~par_min:max_int p src dst ctr;
@@ -517,7 +430,7 @@ let test_tier_zero_alloc () =
   R.patterns_tiered ~jobs:1 ~par_min:max_int p src dst ctr;
   let dw = Gc.minor_words () -. w0 in
   if dw > 1024.0 then
-    Alcotest.failf "tiered serving path allocates: %.0f minor words for %d uniform calls" dw n
+    Alcotest.failf "tiered serving path allocates: %.0f minor words for %d fast-path calls" dw n
 
 (* Tier metadata invariants on every kernel-capable combo that certified
    one: strict prefix (tk < nt is enforced at lowering), dense tables
@@ -580,8 +493,6 @@ let () =
         [ Alcotest.test_case "log2 strided differential" `Slow test_float32_strided ] );
       ( "pipelines",
         [
-          Alcotest.test_case "verify over mixes" `Quick test_verify_mixes;
-          Alcotest.test_case "bigarray = array" `Quick test_ba_pipelines;
           Alcotest.test_case "batch delegates" `Quick test_batch_delegates;
           Alcotest.test_case "posit fallback" `Quick test_posit_fallback;
         ] );
@@ -589,9 +500,6 @@ let () =
         [
           Alcotest.test_case "jobs 1/2/4 identical" `Slow test_jobs_identical;
           Alcotest.test_case "zero alloc (patterns)" `Quick test_zero_alloc;
-          Alcotest.test_case "zero alloc (doubles)" `Quick test_zero_alloc_doubles;
-          Alcotest.test_case "workload mixes" `Quick test_workload;
-          Alcotest.test_case "slo measure" `Quick test_measure;
           Alcotest.test_case "par_min config" `Quick test_par_min_config;
         ] );
       ( "round_bits",

@@ -13,7 +13,10 @@
       Oracle.Elementary on adversarial inputs: the output compensation
       applied to correctly rounded component values of the reduced
       residual must land within a few double ulps of the correctly
-      rounded sin/cos/tan of x itself. *)
+      rounded sin/cos/tan of x itself;
+   4. under round-to-odd, [by_name] accepts exactly the functions that
+      generate: each of them generates on bfloat16@odd, and exp10 is
+      refused up front. *)
 
 module Specs = Funcs.Specs
 module R = Funcs.Reductions
@@ -259,6 +262,23 @@ let test_payne_hanek () =
 
 (* ------------------------------------------------------------------ *)
 
+let test_odd_generates () =
+  let t = Specs.with_mode Specs.bfloat16 Fp.Rounding_mode.Odd in
+  let accepted =
+    List.filter
+      (fun name ->
+        match Specs.by_name name t with _ -> true | exception Invalid_argument _ -> false)
+      (Specs.float_functions @ Specs.extension_functions)
+  in
+  Alcotest.(check (list string))
+    "by_name accepts the non-nearest list"
+    (Specs.non_nearest_functions Fp.Rounding_mode.Odd)
+    accepted;
+  Alcotest.(check bool) "exp10 refused" false (List.mem "exp10" accepted);
+  List.iter (fun name -> ignore (Funcs.Libm.get t name)) accepted
+
+(* ------------------------------------------------------------------ *)
+
 let () =
   Alcotest.run "specs"
     [
@@ -275,4 +295,6 @@ let () =
         ] );
       ( "payne-hanek",
         [ Alcotest.test_case "adversarial reduction differential" `Quick test_payne_hanek ] );
+      ( "odd-mode",
+        [ Alcotest.test_case "every accepted function generates" `Slow test_odd_generates ] );
     ]
